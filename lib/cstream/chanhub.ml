@@ -296,6 +296,22 @@ and hub = {
   h_ho_early : (string * int, Xdr.value) Hashtbl.t;
   h_ho_order : (string * int) Queue.t;
   mutable h_ho_listening : bool;
+  h_ctr : frame_counters;
+}
+
+(* The counters bumped on every frame, resolved once per hub instead of
+   by name each time. Each is registered on first use, as the by-name
+   lookup did, so registry dumps list exactly the same counters. *)
+and frame_counters = {
+  fc_wire_bytes : Sim.Stats.counter Lazy.t;
+  fc_data_packets : Sim.Stats.counter Lazy.t;
+  fc_items_sent : Sim.Stats.counter Lazy.t;
+  fc_ack_packets : Sim.Stats.counter Lazy.t;
+  fc_reset_packets : Sim.Stats.counter Lazy.t;
+  fc_piggybacked_acks : Sim.Stats.counter Lazy.t;
+  fc_standalone_acks : Sim.Stats.counter Lazy.t;
+  fc_dict_defines : Sim.Stats.counter Lazy.t;
+  fc_dict_refs : Sim.Stats.counter Lazy.t;
 }
 
 let hub_addr h = h.h_tr.Transport.addr
@@ -350,6 +366,10 @@ let mark_in_broken i reason =
   end
 
 let hub_counter hub name = Sim.Stats.counter (S.stats hub.h_sched) name
+
+let bump c = Sim.Stats.incr (Lazy.force c)
+
+let bump_by c n = Sim.Stats.add (Lazy.force c) n
 
 let hub_trace hub fmt = Sim.Trace.recordf (S.trace hub.h_sched) ~time:(S.now hub.h_sched) fmt
 
@@ -407,26 +427,26 @@ let transmit hub ~dst packet =
           od.od_helloed <- true;
           Sim.Stats.incr (hub_counter hub "chan_dict_hellos");
           let hf = encode_dict_ctrl ~tag:4 ~epoch:(B.dict_epoch od.od_dict) in
-          Sim.Stats.add (hub_counter hub "chan_wire_bytes") (String.length hf);
+          bump_by hub.h_ctr.fc_wire_bytes (String.length hf);
           hub.h_tr.Transport.send ~dst hf
         end;
         if od.od_on then begin
           let d0 = B.dict_defines od.od_dict and r0 = B.dict_refs od.od_dict in
           let f = encode_packet_dict od.od_dict packet in
-          Sim.Stats.add (hub_counter hub "chan_dict_defines") (B.dict_defines od.od_dict - d0);
-          Sim.Stats.add (hub_counter hub "chan_dict_refs") (B.dict_refs od.od_dict - r0);
+          bump_by hub.h_ctr.fc_dict_defines (B.dict_defines od.od_dict - d0);
+          bump_by hub.h_ctr.fc_dict_refs (B.dict_refs od.od_dict - r0);
           f
         end
         else encode_packet packet
   in
   let bytes = String.length frame in
-  Sim.Stats.add (hub_counter hub "chan_wire_bytes") bytes;
+  bump_by hub.h_ctr.fc_wire_bytes bytes;
   (match packet with
   | Data { items; _ } ->
-      Sim.Stats.incr (hub_counter hub "chan_data_packets");
-      Sim.Stats.add (hub_counter hub "chan_items_sent") (List.length items)
-  | Ack _ -> Sim.Stats.incr (hub_counter hub "chan_ack_packets")
-  | Reset _ -> Sim.Stats.incr (hub_counter hub "chan_reset_packets"));
+      bump hub.h_ctr.fc_data_packets;
+      bump_by hub.h_ctr.fc_items_sent (List.length items)
+  | Ack _ -> bump hub.h_ctr.fc_ack_packets
+  | Reset _ -> bump hub.h_ctr.fc_reset_packets);
   hub.h_tr.Transport.send ~dst frame
 
 (* --- delayed acks and piggybacking -------------------------------- *)
@@ -455,7 +475,7 @@ let drain_pending hub dst =
 (* Acks waiting for [dst] hitch a ride on this Data packet. *)
 let take_piggyback hub ~dst =
   let acks = drain_pending hub dst in
-  if acks <> [] then Sim.Stats.add (hub_counter hub "chan_piggybacked_acks") (List.length acks);
+  if acks <> [] then bump_by hub.h_ctr.fc_piggybacked_acks (List.length acks);
   acks
 
 (* Acknowledge [upto] on [key]'s reverse path. With no ack delay the
@@ -465,7 +485,7 @@ let take_piggyback hub ~dst =
    sender waits (it must come well under the retransmit timeout). *)
 let post_ack hub ~dst ~key ~upto ~pressure =
   if hub.h_ack_delay <= 0.0 then begin
-    Sim.Stats.incr (hub_counter hub "chan_standalone_acks");
+    bump hub.h_ctr.fc_standalone_acks;
     transmit hub ~dst (Ack { acks = [ { a_key = key; a_upto = upto; a_pressure = pressure } ] })
   end
   else begin
@@ -480,7 +500,7 @@ let post_ack hub ~dst ~key ~upto ~pressure =
           p.p_armed <- false;
           let acks = drain_pending hub dst in
           if acks <> [] then begin
-            Sim.Stats.add (hub_counter hub "chan_standalone_acks") (List.length acks);
+            bump_by hub.h_ctr.fc_standalone_acks (List.length acks);
             transmit hub ~dst (Ack { acks })
           end)
     end
@@ -906,7 +926,7 @@ let receive hub ~src frame =
       (* Any hub can decode v2 frames; accepting costs one table. *)
       ignore (dict_in hub src epoch : B.dict_table);
       let f = encode_dict_ctrl ~tag:5 ~epoch in
-      Sim.Stats.add (hub_counter hub "chan_wire_bytes") (String.length f);
+      bump_by hub.h_ctr.fc_wire_bytes (String.length f);
       hub.h_tr.Transport.send ~dst:src f
   | Ok (I_welcome epoch) -> (
       match Hashtbl.find_opt hub.h_dict_out src with
@@ -955,6 +975,7 @@ let peer_down hub ~peer ~reason =
     ins
 
 let create_hub_on ?(ack_delay = 0.0) ?(dict = false) tr =
+  let counter name = lazy (Sim.Stats.counter (S.stats tr.Transport.sched) name) in
   let hub =
     {
       h_tr = tr;
@@ -978,6 +999,18 @@ let create_hub_on ?(ack_delay = 0.0) ?(dict = false) tr =
       h_ho_early = Hashtbl.create 16;
       h_ho_order = Queue.create ();
       h_ho_listening = false;
+      h_ctr =
+        {
+          fc_wire_bytes = counter "chan_wire_bytes";
+          fc_data_packets = counter "chan_data_packets";
+          fc_items_sent = counter "chan_items_sent";
+          fc_ack_packets = counter "chan_ack_packets";
+          fc_reset_packets = counter "chan_reset_packets";
+          fc_piggybacked_acks = counter "chan_piggybacked_acks";
+          fc_standalone_acks = counter "chan_standalone_acks";
+          fc_dict_defines = counter "chan_dict_defines";
+          fc_dict_refs = counter "chan_dict_refs";
+        };
     }
   in
   tr.Transport.set_receiver (fun ~src frame -> receive hub ~src frame);

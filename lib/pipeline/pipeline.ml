@@ -207,6 +207,21 @@ module Registry = struct
     t.byte_count <- t.byte_count - vbytes;
     t.on_evict ~bytes:vbytes
 
+  (* Victims taken from [releasable] leave their keys behind in
+     [done_order], which is popped only when [releasable] runs dry —
+     never, in steady ack-tied eviction. Once the queue passes twice
+     [cap], drop the keys gone from [done_]; live keys keep their FIFO
+     order. Amortised O(1) per record. *)
+  let compact_order t =
+    if Queue.length t.done_order - t.cap > t.cap then begin
+      let live = Queue.create () in
+      Queue.iter (fun key -> if Hashtbl.mem t.done_ key then Queue.push key live) t.done_order;
+      Queue.clear t.done_order;
+      Queue.transfer live t.done_order
+    end
+
+  let fifo_length t = Queue.length t.done_order
+
   let record t ~stream ~call outcome =
     let key = (stream, call) in
     Hashtbl.remove t.foreign key;
@@ -222,7 +237,8 @@ module Registry = struct
          only later dependents see it as evicted and fail fast. *)
       while t.done_count > t.cap || (t.byte_count > t.max_bytes && t.done_count > 0) do
         evict_one t
-      done
+      done;
+      compact_order t
     end;
     match Hashtbl.find_opt t.waiters key with
     | None -> ()

@@ -153,4 +153,8 @@ module Registry : sig
 
   val waiting : 'o t -> int
   (** Callbacks currently parked. *)
+
+  val fifo_length : 'o t -> int
+  (** Keys in the FIFO eviction queue, including keys already evicted
+      through the acked queue; kept within twice [cap]. *)
 end

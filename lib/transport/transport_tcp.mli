@@ -27,6 +27,11 @@
 
 type fabric
 
+val max_frame : int
+(** Largest frame payload a connection accepts (64 MiB). A longer
+    length prefix can only be corruption: the connection is closed and
+    its peer watch fires. *)
+
 val create : Sched.Scheduler.t -> fabric
 (** Make a fabric and attach its real-time driver to the scheduler.
     One fabric per scheduler; the driver stays attached until
@@ -69,7 +74,7 @@ val drop_peer_connections : fabric -> addr:Transport.address -> unit
 val set_max_chunk : fabric -> int -> unit
 (** Test hook: cap every [read]/[write] syscall at this many bytes
     (default 65536) to force partial reads and short writes through the
-    framing layer. *)
+    framing layer. The fabric's read buffer is resized to match. *)
 
 val close : fabric -> unit
 (** Close every socket, detach the real-time driver, and return the

@@ -578,6 +578,57 @@ let test_registry_waiter_accounting () =
   check Alcotest.bool "other streams unaffected" false
     (Pipeline.Registry.evicted reg ~stream:"t" ~call:0)
 
+(* Ack-tied eviction takes its victims from the acked queue, which used
+   to leave one stale key per outcome in the FIFO queue forever. Over
+   100 x cap outcomes (most acked, some late, some never) the FIFO
+   queue must stay within 2 x cap, and every eviction must pick the
+   victim a list model of the policy picks: the oldest acked outcome,
+   else the oldest outcome. *)
+let test_registry_fifo_stays_bounded () =
+  let cap = 16 in
+  let reg : int Pipeline.Registry.t = Pipeline.Registry.create ~cap () in
+  let live = ref [] (* model: remembered calls, oldest first *) in
+  let acked = ref [] (* model: acked calls, in mark order *) in
+  let mark c =
+    Pipeline.Registry.mark_releasable reg ~stream:"s" ~call:c;
+    if List.mem c !live && not (List.mem c !acked) then acked := !acked @ [ c ]
+  in
+  let record c =
+    Pipeline.Registry.record reg ~stream:"s" ~call:c c;
+    live := !live @ [ c ];
+    if List.length !live > cap then begin
+      let victim =
+        match !acked with
+        | v :: rest ->
+            acked := rest;
+            v
+        | [] -> List.hd !live
+      in
+      live := List.filter (( <> ) victim) !live;
+      check Alcotest.(option int) (Printf.sprintf "call %d evicted" victim) None
+        (Pipeline.Registry.find reg ~stream:"s" ~call:victim)
+    end;
+    if Pipeline.Registry.fifo_length reg > 2 * cap then
+      Alcotest.failf "FIFO queue holds %d keys after call %d (cap %d)"
+        (Pipeline.Registry.fifo_length reg) c cap
+  in
+  for c = 0 to (100 * cap) - 1 do
+    record c;
+    (* 3 in 5 acked at once, 1 in 5 acked two calls late, 1 in 5 never. *)
+    match c mod 5 with
+    | 0 | 1 -> mark c
+    | 4 ->
+        mark c;
+        mark (c - 2)
+    | _ -> ()
+  done;
+  List.iter
+    (fun c ->
+      check Alcotest.(option int) (Printf.sprintf "call %d remembered" c) (Some c)
+        (Pipeline.Registry.find reg ~stream:"s" ~call:c))
+    !live;
+  check Alcotest.int "remembered count" cap (Pipeline.Registry.known reg)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -611,6 +662,8 @@ let () =
             test_parked_waiters_reclaimed_on_conn_break;
           Alcotest.test_case "registry waiter accounting" `Quick
             test_registry_waiter_accounting;
+          Alcotest.test_case "registry FIFO queue stays O(cap)" `Quick
+            test_registry_fifo_stays_bounded;
         ] );
       ( "supervision",
         [

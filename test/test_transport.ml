@@ -26,6 +26,28 @@ let run_ok sched =
       Alcotest.failf "deadlock: %s" (String.concat "," (List.map S.fiber_name fs))
   | S.Time_limit -> Alcotest.fail "unexpected time limit"
 
+(* A fiber parks on a gate until a condition holds; receive callbacks
+   [poke] it. Past the gate's wall-clock deadline [await] gives up, so a
+   framing bug that loses a frame fails the checks that follow instead
+   of hanging the test. *)
+type gate = { g_sched : S.t; g_deadline : float; mutable g_waiter : unit S.waker option }
+
+let gate sched ~secs = { g_sched = sched; g_deadline = S.now sched +. secs; g_waiter = None }
+
+let poke g =
+  match g.g_waiter with
+  | Some w ->
+      g.g_waiter <- None;
+      ignore (S.wake w () : bool)
+  | None -> ()
+
+let await g cond =
+  let timer = S.at_cancellable g.g_sched g.g_deadline (fun () -> poke g) in
+  while (not (cond ())) && S.now g.g_sched < g.g_deadline do
+    S.suspend g.g_sched (fun w -> g.g_waiter <- Some w)
+  done;
+  S.cancel_timer timer
+
 (* --- sandbox guard -------------------------------------------------- *)
 
 let tcp_available =
@@ -163,6 +185,136 @@ let test_tcp_accounting () =
   check Alcotest.int "bytes sent" !expected_bytes (Sim.Stats.peek stats "transport_bytes_sent");
   check Alcotest.int "bytes received" !expected_bytes
     (Sim.Stats.peek stats "transport_bytes_received")
+
+(* --- framing fuzz ----------------------------------------------------- *)
+
+(* Bytes derived from frame index and position, so a lost, repeated or
+   shifted byte changes the frame. *)
+let fuzz_frame i len = String.init len (fun k -> Char.chr (((i * 31) + (k * 7)) land 0xff))
+
+type fuzz_case = {
+  fz_chunk : int; (* set_max_chunk: every read and write *)
+  fz_sizes : int list; (* payload sizes, sent back to back *)
+  fz_corrupt : int option; (* a raw client's length prefix above max_frame *)
+}
+
+let fuzz_gen =
+  let open QCheck.Gen in
+  let* chunk =
+    oneof [ int_range 1 8; int_range 9 600; int_range 601 4096; int_range 4097 100_000 ]
+  in
+  (* Frames up to 64 chunks long keep a case to a few thousand
+     syscalls; with chunks over 1 KiB that still reaches past 64 KiB,
+     so the carry must grow. *)
+  let max_len = min 140_000 (64 * chunk) in
+  let size =
+    frequency
+      [
+        (2, return 0);
+        (5, int_range 1 300);
+        (2, int_range 0 max_len);
+        (1, int_range (max_len / 2) max_len);
+      ]
+  in
+  let* sizes = list_size (int_range 1 8) size in
+  let+ corrupt = opt (int_range (T.max_frame + 1) 0xffff_ffff) in
+  { fz_chunk = chunk; fz_sizes = sizes; fz_corrupt = corrupt }
+
+let fuzz_print c =
+  Printf.sprintf "{chunk=%d; sizes=[%s]; corrupt=%s}" c.fz_chunk
+    (String.concat ";" (List.map string_of_int c.fz_sizes))
+    (match c.fz_corrupt with Some n -> string_of_int n | None -> "none")
+
+(* a sends the frames back to back, so a large chunk carries several
+   per read and a small one splits frames and a's hello across reads. With [fz_corrupt], a raw client then dials b, sends its hello
+   in two writes around a pause (so b reads it in two pieces) and a
+   length prefix above max_frame, which must end in conn_down. *)
+let fuzz_framing case =
+  let sched = S.create () in
+  let fab = T.create sched in
+  Fun.protect ~finally:(fun () -> T.close fab) @@ fun () ->
+  let a = T.endpoint fab ~addr:0 () in
+  let b = T.endpoint fab ~addr:1 () in
+  let b_sa = T.listen_loopback fab ~addr:1 in
+  T.set_peer fab ~addr:1 b_sa;
+  T.set_max_chunk fab case.fz_chunk;
+  let frames = List.mapi fuzz_frame case.fz_sizes in
+  let n = List.length frames in
+  let got = ref [] and lost = ref [] and g = gate sched ~secs:10.0 in
+  b.Transport.set_receiver (fun ~src frame ->
+      got := (src, frame) :: !got;
+      poke g);
+  b.Transport.set_peer_watch (fun ~peer ~reason ->
+      lost := (peer, reason) :: !lost;
+      poke g);
+  ignore
+    (S.spawn sched ~name:"fuzz" (fun () ->
+         List.iter (fun f -> a.Transport.send ~dst:1 f) frames;
+         await g (fun () -> List.length !got >= n);
+         match case.fz_corrupt with
+         | None -> ()
+         | Some bad ->
+             let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+             Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+             Unix.connect fd b_sa;
+             let raw = Bytes.of_string "PRS1\000\000\000\009\000\000\000\000" in
+             Bytes.set_int32_be raw 8 (Int32.of_int bad);
+             ignore (Unix.write fd raw 0 3 : int);
+             S.sleep sched 2e-3;
+             ignore (Unix.write fd raw 3 9 : int);
+             await g (fun () -> !lost <> [])));
+  run_ok sched;
+  let stats = T.stats fab in
+  let total = List.fold_left ( + ) 0 case.fz_sizes in
+  List.rev !got = List.map (fun f -> (0, f)) frames
+  && Sim.Stats.peek stats "transport_frames_sent" = n
+  && Sim.Stats.peek stats "transport_bytes_sent" = total
+  && Sim.Stats.peek stats "transport_frames_received" = n
+  && Sim.Stats.peek stats "transport_bytes_received" = total
+  &&
+  match case.fz_corrupt with
+  | None -> !lost = [] && Sim.Stats.peek stats "transport_conns_lost" = 0
+  | Some _ ->
+      !lost = [ (9, "oversized frame") ] && Sim.Stats.peek stats "transport_conns_lost" = 1
+
+let prop_tcp_framing =
+  QCheck.Test.make ~name:"framing fuzz: sizes x chunk splits x corrupt prefix (tcp)" ~count:40
+    (QCheck.make ~print:fuzz_print fuzz_gen)
+    fuzz_framing
+
+let test_tcp_framing_fuzz =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_tcp_framing in
+  Alcotest.test_case name speed (fun () -> with_tcp "framing fuzz" run)
+
+(* --- read-path allocation ------------------------------------------- *)
+
+(* Small-frame echo round trips must not allocate on the major heap per
+   read: a 64 KiB read buffer per read is 8 K words, about 16 K per
+   round trip. *)
+let test_tcp_echo_major_words () =
+  with_tcp "echo major words" @@ fun () ->
+  with_rig tcp_rig @@ fun rig ->
+  let a = rig.rg_a and b = rig.rg_b in
+  b.Transport.set_receiver (fun ~src frame -> b.Transport.send ~dst:src frame);
+  let replies = ref 0 and g = gate rig.rg_sched ~secs:30.0 in
+  a.Transport.set_receiver (fun ~src:_ _ ->
+      incr replies;
+      poke g);
+  let warmup = 100 and n = 2000 in
+  let words = ref 0.0 in
+  ignore
+    (S.spawn rig.rg_sched ~name:"echo" (fun () ->
+         for i = 1 to warmup + n do
+           if i = warmup + 1 then words := (Gc.quick_stat ()).Gc.major_words;
+           a.Transport.send ~dst:b.Transport.addr "ping-0123456789";
+           await g (fun () -> !replies >= i)
+         done;
+         words := (Gc.quick_stat ()).Gc.major_words -. !words));
+  run_ok rig.rg_sched;
+  check Alcotest.int "every echo came back" (warmup + n) !replies;
+  let per_rt = !words /. float_of_int n in
+  if per_rt >= 1024.0 then
+    Alcotest.failf "%.0f major words per echo round trip (bound 1024)" per_rt
 
 (* --- stream-layer conformance over both backends -------------------- *)
 
@@ -356,6 +508,9 @@ let () =
             test_tcp_reply_rides_accepted_conn;
           Alcotest.test_case "framing under 3-byte partial io (tcp)" `Quick test_tcp_partial_io;
           Alcotest.test_case "frame/byte accounting (tcp)" `Quick test_tcp_accounting;
+          test_tcp_framing_fuzz;
+          Alcotest.test_case "echo major words per round trip (tcp)" `Quick
+            test_tcp_echo_major_words;
           Alcotest.test_case "window back-pressure (sim)" `Quick test_backpressure_sim;
           Alcotest.test_case "window back-pressure (tcp)" `Quick test_backpressure_tcp;
         ] );
