@@ -32,53 +32,44 @@ let decode_outcome (hs : ('a, 'r, 'e) Sigs.hsig) (w : W.routcome) : ('r, 'e) Pro
   | W.W_unavailable reason -> Promise.Unavailable reason
   | W.W_failure reason -> Promise.Failure reason
 
-(* Put one already-encoded call on the stream: wounded-fiber check,
-   stream-broken check. On success returns the stable call-id and the
-   call's causal trace id, and [on_reply] will fire exactly once. *)
-let start_encoded ?handoff ?elide h ~kind ~args ~on_reply =
+let encode h v =
+  match Xdr.encode h.h_sig.Sigs.arg_c v with
+  | Ok args -> args
+  | Error reason -> raise (Promise.Failure_exn ("encoding failed: " ^ reason))
+
+(* The one issue path: every call form — by value or by reference,
+   plain, deferred or forwarded — puts its already-encoded arguments on
+   the stream here. A wounded fiber or a broken stream raises, and no
+   promise escapes. A deferred ([elide]) call's normal reply is only a
+   marker: the real result lives in the producer's registry, so the
+   promise's typed state is a [Failure] saying so, and its wire slot
+   stays empty. A promise born here can be piped into a later call on
+   the same node (remember which call produces it), forwarded to
+   another node (remember the home stream), and claimed under tracing
+   (stamp the call's trace id so the claim edge lands in its
+   timeline). *)
+let issue ?handoff ?(elide = false) h ~kind args =
   if S.wounded h.h_sched then
     (* "It cannot make any remote calls at such a point" (§4.2). *)
     raise S.Terminated;
-  match
-    SE.call_traced ?handoff ?elide h.h_stream ~port:h.h_sig.Sigs.hname ~kind ~args ~on_reply
-  with
-  | Ok ids -> ids
-  | Error reason -> raise (Promise.Unavailable_exn reason)
-
-(* Shared front half of the typed call forms: encode, then transmit. *)
-let start_call ?elide h ~kind arg ~on_reply =
-  match Xdr.encode h.h_sig.Sigs.arg_c arg with
-  | Error reason -> raise (Promise.Failure_exn ("encoding failed: " ^ reason))
-  | Ok args -> start_encoded ?elide h ~kind ~args ~on_reply
-
-(* A promise born here can be piped into a later call on the same node
-   (remember which call produces it), forwarded to another node
-   (remember the home stream), and claimed under tracing (stamp the
-   call's trace id so the claim edge lands in its timeline). *)
-let stamp_origin h p (cid, tid) =
-  Promise.set_origin p
-    { Promise.og_stream = SE.stable_id h.h_stream; og_call = cid; og_dst = SE.dst h.h_stream };
-  Promise.set_trace p tid;
-  Promise.set_home p h.h_stream
-
-let stream_call h arg =
   let p = Promise.create h.h_sched in
-  let ids =
-    start_call h ~kind:W.Call arg ~on_reply:(fun w ->
+  if elide then Promise.set_elided p;
+  let on_reply = function
+    | W.W_normal _ when elide ->
+        Promise.resolve p
+          (Promise.Failure "result deferred (Remote.Call.defer_result): pipe it, do not claim")
+    | w ->
         Promise.put_wire p w;
-        Promise.resolve p (decode_outcome h.h_sig w))
+        Promise.resolve p (decode_outcome h.h_sig w)
   in
-  stamp_origin h p ids;
-  p
-
-let stream_call_ h arg =
-  ignore
-    (start_call h ~kind:W.Call arg ~on_reply:(fun w ->
-         (* Decoded and discarded, as §3 specifies for statement form. *)
-         ignore (decode_outcome h.h_sig w : _ Promise.outcome))
-      : int * int)
-
-let send h arg = ignore (start_call h ~kind:W.Send arg ~on_reply:(fun _ -> ()) : int * int)
+  match SE.call ?handoff ~elide h.h_stream ~port:h.h_sig.Sigs.hname ~kind ~args ~on_reply with
+  | Error reason -> raise (Promise.Unavailable_exn reason)
+  | Ok (cid, tid) ->
+      Promise.set_origin p
+        { Promise.og_stream = SE.stable_id h.h_stream; og_call = cid; og_dst = SE.dst h.h_stream };
+      Promise.set_trace p tid;
+      Promise.set_home p h.h_stream;
+      p
 
 (* {2 Promise pipelining (docs/PIPELINE.md)} *)
 
@@ -101,91 +92,46 @@ type 'a arg =
 
 let arg v = Arg_now v
 
-let ref_of_promise ~what p ~field =
-  match Promise.origin p with
-  | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Remote.%s: promise was not born from a stream call (no origin to reference)" what)
-  | Some og ->
-      Arg_ref
-        {
-          ar_origin = og;
-          ar_field = field;
-          ar_home = Promise.home p;
-          ar_watch = Promise.on_wire p;
-          ar_elided = Promise.elided p;
-        }
-
-let pipe p =
+(* Shared body of [pipe] and [pipe_field]: an abnormal producer
+   short-circuits, [now] may pass a ready value directly, and anything
+   else goes by reference. *)
+let pipe_with ~what ~field ~now p =
+  let by_ref () =
+    match Promise.origin p with
+    | None ->
+        invalid_arg
+          (Printf.sprintf
+             "Remote.%s: promise was not born from a stream call (no origin to reference)" what)
+    | Some og ->
+        Arg_ref
+          {
+            ar_origin = og;
+            ar_field = field;
+            ar_home = Promise.home p;
+            ar_watch = Promise.on_wire p;
+            ar_elided = Promise.elided p;
+          }
+  in
   if Promise.elided p then
     (* A deferred result never has a local value; its typed state is a
        marker, so only a real abnormal wire outcome short-circuits. *)
     match Promise.wire p with
     | Some ((W.W_unavailable _ | W.W_failure _) as w) -> Arg_dead w
-    | Some (W.W_normal _ | W.W_signal _) | None -> ref_of_promise ~what:"pipe" p ~field:None
+    | Some (W.W_normal _ | W.W_signal _) | None -> by_ref ()
   else
     match Promise.peek p with
-    | Some (Promise.Normal v) -> Arg_now v
+    | Some (Promise.Normal v) -> ( match now v with Some a -> a | None -> by_ref ())
     | Some (Promise.Unavailable r) -> Arg_dead (W.W_unavailable r)
     | Some (Promise.Failure r) -> Arg_dead (W.W_failure r)
     | Some (Promise.Signal _) | None ->
         (* A ready signal still goes by reference: its wire encoding was
            recorded at the receiver, which propagates it to the dependent
            call — we cannot re-encode a decoded ['e] here. *)
-        ref_of_promise ~what:"pipe" p ~field:None
+        by_ref ()
 
-let pipe_field (p : _ Promise.t) ~field =
-  if Promise.elided p then
-    match Promise.wire p with
-    | Some ((W.W_unavailable _ | W.W_failure _) as w) -> Arg_dead w
-    | Some (W.W_normal _ | W.W_signal _) | None ->
-        ref_of_promise ~what:"pipe_field" p ~field:(Some field)
-  else
-    match Promise.peek p with
-    | Some (Promise.Unavailable r) -> Arg_dead (W.W_unavailable r)
-    | Some (Promise.Failure r) -> Arg_dead (W.W_failure r)
-    | Some (Promise.Normal _ | Promise.Signal _) | None ->
-        ref_of_promise ~what:"pipe_field" p ~field:(Some field)
+let pipe p = pipe_with ~what:"pipe" ~field:None ~now:(fun v -> Some (Arg_now v)) p
 
-(* The dependent call of a same-node pipelined reference. *)
-let issue_ref ?handoff h ~origin ~field =
-  let args =
-    Xdr.Pref
-      {
-        Xdr.ps_stream = origin.Promise.og_stream;
-        ps_call = origin.Promise.og_call;
-        ps_field = field;
-      }
-  in
-  let p = Promise.create h.h_sched in
-  let ids =
-    start_encoded ?handoff h ~kind:W.Call ~args ~on_reply:(fun w ->
-        Promise.put_wire p w;
-        Promise.resolve p (decode_outcome h.h_sig w))
-  in
-  stamp_origin h p ids;
-  Sim.Stats.incr (Sim.Stats.counter (S.stats h.h_sched) "pipelined_calls");
-  p
-
-let stream_call_p h a =
-  match a with
-  | Arg_now v -> stream_call h v
-  | Arg_dead w ->
-      (* "The producer's fate is the dependent's fate": complete
-         abnormally right here, transmitting nothing. *)
-      Promise.resolved h.h_sched (decode_outcome h.h_sig w)
-  | Arg_ref { ar_origin; ar_field; _ } ->
-      (* The sender can only validate the node: which guardian a group
-         belongs to is receiver-local knowledge. A same-node reference
-         that crosses guardians (disjoint registries) is rejected by
-         the receiver's scope check with the same "claim it instead"
-         failure, instead of parking forever. *)
-      if ar_origin.Promise.og_dst <> SE.dst h.h_stream then
-        raise
-          (Promise.Failure_exn
-             "pipelined argument references a call on a different node; claim it instead")
-      else issue_ref h ~origin:ar_origin ~field:ar_field
+let pipe_field p ~field = pipe_with ~what:"pipe_field" ~field:(Some field) ~now:(fun _ -> None) p
 
 let flush h = SE.flush h.h_stream
 
@@ -217,38 +163,34 @@ let retry_delay policy rng ~attempt =
   let spread = policy.retry_jitter *. ((2.0 *. Sim.Rng.float rng 1.0) -. 1.0) in
   Float.max 0.0 (capped *. (1.0 +. spread))
 
-let stream_call_retry ?(policy = default_retry_policy) ?deadline h arg =
+(* Each attempt is a fresh call with a fresh stable call-id: a shed
+   call never executed, so this is retry, not resubmission — dedup is
+   not implicated and receiver-side at-most-once holds per attempt.
+   (Crash-driven [restart_resubmit] is the opposite: same cid, because
+   the original may have executed.) The promise carries the first
+   attempt's trace id but no origin: piping it would mint a reference
+   to a possibly-shed, never-executed call. *)
+let issue_with_retry ?(policy = default_retry_policy) ?deadline h args =
   if policy.retry_attempts <= 0 then
-    invalid_arg "Remote.stream_call_retry: retry_attempts must be positive";
+    invalid_arg "Remote.Call.with_retry: retry_attempts must be positive";
   let sched = h.h_sched in
   let p = Promise.create sched in
   let rng = Sim.Rng.split (S.rng sched) in
   let counter name = Sim.Stats.counter (S.stats sched) name in
-  let resolve w = Promise.resolve p (decode_outcome h.h_sig w) in
-  (* Each attempt is a fresh call with a fresh stable call-id: a shed
-     call never executed, so this is retry, not resubmission — dedup is
-     not implicated and receiver-side at-most-once holds per attempt.
-     (Crash-driven [restart_resubmit] is the opposite: same cid,
-     because the original may have executed.) The promise carries the
-     first attempt's trace id but no origin: piping it would mint a
-     reference to a possibly-shed, never-executed call. *)
   let rec attempt n =
-    let on_reply = function
-      | W.W_unavailable reason -> next n reason
-      | w ->
-          if n > 1 then Sim.Stats.incr (counter "remote_retry_successes");
-          resolve w
-    in
-    match
-      try `Issued (start_call h ~kind:W.Call arg ~on_reply)
-      with Promise.Unavailable_exn reason -> `Refused reason
-    with
-    | `Issued ((_ : int), tid) -> if n = 1 then Promise.set_trace p tid
-    | `Refused reason -> next n reason
+    match issue h ~kind:W.Call args with
+    | exception Promise.Unavailable_exn reason -> next n reason
+    | a ->
+        if n = 1 then Option.iter (Promise.set_trace p) (Promise.trace a);
+        Promise.on_ready a (function
+          | Promise.Unavailable reason -> next n reason
+          | o ->
+              if n > 1 then Sim.Stats.incr (counter "remote_retry_successes");
+              Promise.resolve p o)
   and next n reason =
     let give_up () =
       Sim.Stats.incr (counter "remote_retry_exhausted");
-      resolve (W.W_unavailable reason)
+      Promise.resolve p (Promise.Unavailable reason)
     in
     if n >= policy.retry_attempts then give_up ()
     else begin
@@ -270,38 +212,11 @@ let stream_call_retry ?(policy = default_retry_policy) ?deadline h arg =
   attempt 1;
   p
 
-let rpc h arg =
-  let p = stream_call h arg in
-  flush h;
-  Promise.claim p
-
 let synch h = SE.synch h.h_stream
 
 (* {2 The unified call builder (docs/HANDOFF.md)} *)
 
 module CH = Cstream.Chanhub
-
-(* A call issued with reply elision: the receiver strips the normal
-   result from the reply, so the promise's typed state is only ever a
-   deferred-result marker (or a real abnormal outcome). *)
-let issue_elided h v =
-  let p = Promise.create h.h_sched in
-  Promise.set_elided p;
-  let ids =
-    start_call ~elide:true h ~kind:W.Call v ~on_reply:(fun w ->
-        match w with
-        | W.W_normal _ ->
-            (* the elision marker, not a value — the real result lives
-               only in the producer's registry *)
-            Promise.resolve p
-              (Promise.Failure
-                 "result deferred (Remote.Call.defer_result): pipe it, do not claim")
-        | W.W_signal _ | W.W_unavailable _ | W.W_failure _ ->
-            Promise.put_wire p w;
-            Promise.resolve p (decode_outcome h.h_sig w))
-  in
-  stamp_origin h p ids;
-  p
 
 module Call = struct
   type ('a, 'r, 'e) plan = {
@@ -326,6 +241,21 @@ module Call = struct
 
   let defer_result b = { b with c_elide = true }
 
+  (* A reference argument travels as an [Xdr.Pref] naming the producing
+     call; the receiver substitutes the produced value. *)
+  let issue_piped ?handoff b r =
+    let args =
+      Xdr.Pref
+        {
+          Xdr.ps_stream = r.ar_origin.Promise.og_stream;
+          ps_call = r.ar_origin.Promise.og_call;
+          ps_field = r.ar_field;
+        }
+    in
+    let p = issue ?handoff ~elide:b.c_elide b.c_h ~kind:b.c_kind args in
+    Sim.Stats.incr (Sim.Stats.counter (S.stats b.c_h.h_sched) "pipelined_calls");
+    p
+
   (* Third-party handoff (docs/HANDOFF.md): the dependent call goes
      straight to the node that will consume the result — the owner —
      with its foreign reference annotated; the producer is told (the
@@ -342,7 +272,7 @@ module Call = struct
     let ann =
       { W.ho_owner = owner; ho_stream = stream; ho_call = call; ho_epoch = CH.handoff_epoch hub }
     in
-    let p = issue_ref ~handoff:[ ann ] h ~origin:r.ar_origin ~field:r.ar_field in
+    let p = issue_piped ~handoff:[ ann ] b r in
     Sim.Stats.incr (counter "handoff_calls");
     (match Promise.trace p with
     | Some tid ->
@@ -375,7 +305,7 @@ module Call = struct
         (* the value exists only in the producer's registry: redeem it
            by reference — the proxy-equivalent round trip — and relay *)
         match
-          SE.call_traced home ~port:W.handoff_redeem_port ~kind:W.Call
+          SE.call home ~port:W.handoff_redeem_port ~kind:W.Call
             ~args:(W.handoff_value ann) ~on_reply:push
         with
         | Ok _ -> SE.flush home
@@ -385,7 +315,7 @@ module Call = struct
         r.ar_watch push
     in
     (match
-       SE.call_traced home ~port:W.handoff_notice_port ~kind:W.Send
+       SE.call home ~port:W.handoff_notice_port ~kind:W.Send
          ~args:(W.handoff_value ann)
          ~on_reply:(function
            | W.W_normal _ -> () (* accepted: the producer's node pushes *)
@@ -401,45 +331,55 @@ module Call = struct
         r.ar_watch push);
     p
 
+  (* Every plan leaves through here; [submit] and [detach] only add
+     their own guards. *)
+  let start b =
+    let h = b.c_h in
+    match (b.c_retry, b.c_arg) with
+    | Some (policy, deadline), Arg_now v when b.c_kind = W.Call && not b.c_elide ->
+        issue_with_retry ?policy ?deadline h (encode h v)
+    | Some _, _ -> invalid_arg "Remote.Call: with_retry applies only to plain by-value calls"
+    | None, Arg_now v -> issue ~elide:b.c_elide h ~kind:b.c_kind (encode h v)
+    | None, Arg_dead w ->
+        (* "The producer's fate is the dependent's fate": complete
+           abnormally right here, transmitting nothing. *)
+        Promise.resolved h.h_sched (decode_outcome h.h_sig w)
+    | None, Arg_ref _ when b.c_kind = W.Send ->
+        invalid_arg "Remote.Call: a send cannot take a pipelined argument"
+    | None, Arg_ref r -> (
+        (* The sender can only validate the node: which guardian a group
+           belongs to is receiver-local knowledge. A same-node reference
+           that crosses guardians (disjoint registries) is rejected by
+           the receiver's scope check with the same "claim it instead"
+           failure, instead of parking forever. *)
+        if r.ar_origin.Promise.og_dst = SE.dst h.h_stream then issue_piped b r
+        else
+          match (b.c_handoff, r.ar_home) with
+          | true, Some home -> submit_handoff b r home
+          | false, _ | true, None ->
+              raise
+                (Promise.Failure_exn
+                   "pipelined argument references a call on a different node; claim it instead"))
+
   let submit b =
-    match b.c_kind with
-    | W.Send -> invalid_arg "Remote.Call.submit: a send has no promise; use detach"
-    | W.Call -> (
-        match b.c_retry with
-        | Some (policy, deadline) -> (
-            match b.c_arg with
-            | Arg_now v when not b.c_elide -> stream_call_retry ?policy ?deadline b.c_h v
-            | Arg_now _ | Arg_ref _ | Arg_dead _ ->
-                invalid_arg "Remote.Call.submit: with_retry applies only to plain by-value calls")
-        | None -> (
-            match b.c_arg with
-            | Arg_now v when b.c_elide -> issue_elided b.c_h v
-            | Arg_now v -> stream_call b.c_h v
-            | Arg_dead w -> Promise.resolved b.c_h.h_sched (decode_outcome b.c_h.h_sig w)
-            | Arg_ref r ->
-                if r.ar_origin.Promise.og_dst = SE.dst b.c_h.h_stream then
-                  stream_call_p b.c_h b.c_arg
-                else (
-                  match (b.c_handoff, r.ar_home) with
-                  | true, Some home -> submit_handoff b r home
-                  | false, _ | true, None ->
-                      (* same failure the pre-handoff API raised *)
-                      stream_call_p b.c_h b.c_arg)))
+    if b.c_kind = W.Send then invalid_arg "Remote.Call.submit: a send has no promise; use detach";
+    start b
 
   let detach b =
-    match b.c_retry with
-    | Some _ -> invalid_arg "Remote.Call.detach: with_retry needs a promise; use submit"
-    | None -> (
-        match (b.c_kind, b.c_arg) with
-        | W.Send, Arg_now v -> send b.c_h v
-        | W.Send, Arg_dead _ -> ()
-        | W.Send, Arg_ref _ ->
-            invalid_arg "Remote.Call.detach: a send cannot take a pipelined argument"
-        | W.Call, Arg_now v when not b.c_elide -> stream_call_ b.c_h v
-        | W.Call, _ -> ignore (submit b : _ Promise.t))
+    if b.c_retry <> None then
+      invalid_arg "Remote.Call.detach: with_retry needs a promise; use submit";
+    ignore (start b : _ Promise.t)
 
   let sync b =
     let p = submit b in
     flush b.c_h;
     Promise.claim p
 end
+
+(* The paper's three call forms, as sugar over a plan. *)
+
+let stream_call h v = Call.(submit (make h v))
+
+let send h v = Call.(detach (as_send (make h v)))
+
+let rpc h v = Call.(sync (make h v))

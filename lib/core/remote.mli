@@ -35,23 +35,23 @@ val hsig : ('a, 'r, 'e) h -> ('a, 'r, 'e) Sigs.hsig
 
 val stream : ('a, 'r, 'e) h -> Cstream.Stream_end.t
 
-(** {1 Call forms} *)
+(** {1 Call forms}
+
+    One-line sugar over a {!Call} plan, named after the paper. *)
 
 val stream_call : ('a, 'r, 'e) h -> 'a -> ('r, 'e) Promise.t
-(** Make a stream call; the promise becomes ready when the reply
-    arrives (or the stream breaks). Promises for earlier calls on the
-    same stream become ready first. *)
-
-val stream_call_ : ('a, 'r, 'e) h -> 'a -> unit
-(** Stream call as a statement — "the program need not create a
-    promise" (§3): the reply is still decoded and then discarded. *)
+(** [Call.(submit (make h v))]: make a stream call; the promise becomes
+    ready when the reply arrives (or the stream breaks). Promises for
+    earlier calls on the same stream become ready first. *)
 
 val send : ('a, 'r, 'e) h -> 'a -> unit
-(** A send: the result value is discarded at the receiver; abnormal
-    termination is observable through {!synch}. *)
+(** [Call.(detach (as_send (make h v)))]: a send — the result value is
+    discarded at the receiver; abnormal termination is observable
+    through {!synch}. *)
 
 val rpc : ('a, 'r, 'e) h -> 'a -> ('r, 'e) Promise.outcome
-(** Flush and wait for this call's outcome (fiber context only). *)
+(** [Call.(sync (make h v))]: flush and wait for this call's outcome
+    (fiber context only). *)
 
 (** {1 Retry on [unavailable] (docs/OVERLOAD.md)} *)
 
@@ -64,40 +64,31 @@ type retry_policy = {
 }
 
 val default_retry_policy : retry_policy
-(** 4 attempts, 5 ms base, doubling, 500 ms cap, 20% jitter. *)
-
-val stream_call_retry :
-  ?policy:retry_policy -> ?deadline:float -> ('a, 'r, 'e) h -> 'a -> ('r, 'e) Promise.t
-(** {!stream_call} that retries [unavailable] outcomes — load sheds,
-    broken streams — with jittered exponential backoff, up to
-    [retry_attempts] total attempts. Each attempt is a {e fresh} call
-    (fresh stable call-id): a shed call never executed, so this is
-    retry, not crash-driven resubmission, and receiver-side
-    at-most-once holds per attempt. A retry whose earliest landing time
-    would pass [deadline] (absolute, for use with
-    {!Promise.claim_deadline}) is not sent; the promise resolves
-    [Unavailable] immediately. The promise carries the first attempt's
-    trace id but {e no} origin — piping it would reference a
-    possibly-never-executed call. Never raises
-    {!Promise.Unavailable_exn}; issue-time refusals feed the same
-    retry loop. Counted as [remote_unavailable_retries],
-    [remote_retry_successes] and [remote_retry_exhausted]. *)
+(** 4 attempts, 5 ms base, doubling, 500 ms cap, 20% jitter. Used by
+    {!Call.with_retry}. *)
 
 (** {1 Promise pipelining}
 
     Calling on a not-yet-ready result (docs/PIPELINE.md): {!pipe}
     converts a promise born from a stream call into an argument that is
     transmitted {e by reference} — an {!Xdr.promise_ref} naming the
-    producing call — so a dependent call leaves immediately, without
-    waiting (or paying a round trip) for the producer's reply. The
-    receiver substitutes the produced value before executing; if the
-    producer terminates abnormally, the dependent call completes with
-    the same abnormal outcome and never executes.
+    producing call — so a dependent call ([Call.(submit (piped h a))])
+    leaves immediately, without waiting (or paying a round trip) for the
+    producer's reply. The receiver substitutes the produced value before
+    executing; if the producer terminates abnormally, the dependent call
+    completes with the same abnormal outcome and never executes. A
+    reference to a producer that already terminated with
+    [unavailable]/[failure] yields an already-ready promise with that
+    same outcome — nothing is transmitted. Pipelined transmissions are
+    counted in {!Sim.Stats} as [pipelined_calls] (sender side);
+    receiver-side events appear as [parked_calls], [ref_substitutions]
+    and [ref_failures].
 
-    Both calls must target the same node, and the destination port
-    groups must belong to the same guardian (they share the outcome
-    registry). Referencing across nodes raises {!Promise.Failure_exn}
-    at the call site. *)
+    On the same node, the destination port groups must belong to the
+    same guardian (they share the outcome registry). A reference across
+    nodes is forwarded by third-party handoff (see {!Call}); with
+    [Call.allow_handoff false] it raises {!Promise.Failure_exn} at the
+    call site. *)
 
 type 'a arg
 (** An argument for a handler taking ['a]: either a value, or a
@@ -120,14 +111,6 @@ val pipe_field : (_, _) Promise.t -> field:string -> 'a arg
     the receiver, and a missing field or non-record result as a
     [failure] reply to the dependent call. *)
 
-val stream_call_p : ('a, 'r, 'e) h -> 'a arg -> ('r, 'e) Promise.t
-(** {!stream_call}, accepting a pipelineable argument. A reference to a
-    producer that already terminated with [unavailable]/[failure]
-    yields an already-ready promise with that same outcome — nothing is
-    transmitted. Pipelined transmissions are counted in {!Sim.Stats} as
-    [pipelined_calls] (sender side); receiver-side events appear as
-    [parked_calls], [ref_substitutions] and [ref_failures]. *)
-
 (** {1 Stream control (per handle)} *)
 
 val flush : ('a, 'r, 'e) h -> unit
@@ -138,18 +121,19 @@ val synch : ('a, 'r, 'e) h -> (unit, [ `Exception_reply | `Broken of string ]) r
     complete, and report whether any of them (since the last synch)
     terminated with an exception. *)
 
-(** {1 The unified call builder}
+(** {1 The call builder}
 
-    One entry point subsuming the per-variant functions above — build a
-    plan, refine it, submit it:
+    The one issue path behind every call form — build a plan, refine
+    it, submit it:
 
     {[
-      (* stream_call h v *)        Call.(submit (make h v))
-      (* stream_call_ h v *)       Call.(detach (make h v))
-      (* send h v *)               Call.(detach (as_send (make h v)))
-      (* rpc h v *)                Call.(sync (make h v))
-      (* stream_call_retry h v *)  Call.(submit (with_retry (make h v)))
-      (* stream_call_p h a *)      Call.(submit (piped h a))
+      (* stream call *)                Call.(submit (make h v))
+      (* stream call, no promise *)    Call.(detach (make h v))
+      (* send *)                       Call.(detach (as_send (make h v)))
+      (* RPC *)                        Call.(sync (make h v))
+      (* retry on unavailable *)       Call.(submit (with_retry (make h v)))
+      (* pipelined argument *)         Call.(submit (piped h a))
+      (* no cross-node forwarding *)   Call.(submit (allow_handoff false (piped h a)))
     ]}
 
     The builder is also where {b third-party handoff}
@@ -185,15 +169,30 @@ module Call : sig
 
   val with_retry :
     ?policy:retry_policy -> ?deadline:float -> ('a, 'r, 'e) plan -> ('a, 'r, 'e) plan
-  (** Retry [unavailable] outcomes as {!stream_call_retry} does.
+  (** Retry [unavailable] outcomes — load sheds, broken streams — with
+      jittered exponential backoff, up to [retry_attempts] total
+      attempts ({!default_retry_policy} unless [policy] is given). Each
+      attempt is a {e fresh} call (fresh stable call-id): a shed call
+      never executed, so this is retry, not crash-driven resubmission,
+      and receiver-side at-most-once holds per attempt. A retry whose
+      earliest landing time would pass [deadline] (absolute, for use
+      with {!Promise.claim_deadline}) is not sent; the promise resolves
+      [Unavailable] immediately. The promise carries the first
+      attempt's trace id but {e no} origin — piping it would reference
+      a possibly-never-executed call. {!submit} never raises
+      {!Promise.Unavailable_exn} for such a plan; issue-time refusals
+      feed the same retry loop. Counted as [remote_unavailable_retries],
+      [remote_retry_successes] and [remote_retry_exhausted].
+
       Applies only to plain by-value call plans ({!submit} raises
-      [Invalid_argument] otherwise): each attempt is a fresh call, so a
-      piped, deferred or send plan cannot be retried. *)
+      [Invalid_argument] otherwise, as does [retry_attempts <= 0]):
+      each attempt is a fresh call, so a piped, deferred or send plan
+      cannot be retried, and a retried plan cannot be {!detach}ed. *)
 
   val allow_handoff : bool -> ('a, 'r, 'e) plan -> ('a, 'r, 'e) plan
   (** Enable ([true], the default) or disable third-party handoff for
       this plan. With [false], a cross-node reference raises
-      {!Promise.Failure_exn} exactly as the pre-handoff API did. *)
+      {!Promise.Failure_exn} at the call site. *)
 
   val defer_result : ('a, 'r, 'e) plan -> ('a, 'r, 'e) plan
   (** Ask the receiver to strip the normal result from the reply
@@ -207,8 +206,11 @@ module Call : sig
       [Invalid_argument] for a send plan (no promise — use {!detach}). *)
 
   val detach : ('a, 'r, 'e) plan -> unit
-  (** Issue without a promise: the statement form for calls, the only
-      form for sends. *)
+  (** Issue without a promise: the statement form for calls — "the
+      program need not create a promise" (§3); the reply is still
+      decoded and then discarded — and the only form for sends. Raises
+      [Invalid_argument] for a plan with {!with_retry}, or a send with a
+      {!pipe}d argument. *)
 
   val sync : ('a, 'r, 'e) plan -> ('r, 'e) Promise.outcome
   (** {!submit}, {!flush}, {!Promise.claim} — the RPC form (fiber

@@ -237,7 +237,7 @@ type out_chan = {
          cut until it is acked, so one congested flight costs one cut *)
   mutable o_broken : string option;
   mutable o_on_break : (string -> unit) list;
-  mutable o_on_ack : (Xdr.value list -> unit) option;
+  mutable o_on_ack : (int -> unit) option;
   mutable o_flush_gen : int;
   mutable o_retx_gen : int;
   mutable o_retx_armed : bool;
@@ -247,15 +247,11 @@ type out_chan = {
   o_waiters : unit S.waker Queue.t;  (* fibers parked in await_window *)
 }
 
-and deliver =
-  | Deliver_values of (Xdr.value list -> unit)
-  | Deliver_views of (Xdr.View.t list -> unit)
-
 and in_chan = {
   i_hub : hub;
   i_key : key;
   mutable i_expected : int;
-  mutable i_deliver : deliver option;
+  mutable i_deliver : (Xdr.View.t list -> unit) option;
   mutable i_pressure : (unit -> int) option;  (* receiver queue-depth probe for acks *)
   mutable i_broken : string option;
   mutable i_on_break : (string -> unit) list;
@@ -343,9 +339,7 @@ let in_key i = i.i_key
 
 let in_src i = i.i_key.src
 
-let set_deliver i f = i.i_deliver <- Some (Deliver_values f)
-
-let set_deliver_views i f = i.i_deliver <- Some (Deliver_views f)
+let set_deliver i f = i.i_deliver <- Some f
 
 let set_pressure i f = i.i_pressure <- Some f
 
@@ -697,7 +691,7 @@ let handle_ack o ~upto ~pressure =
   if o.o_broken = None && upto > o.o_acked_upto then begin
     o.o_acked_upto <- upto;
     let freed = ref 0 in
-    let freed_items = ref [] in
+    let freed_us = ref [] in
     let rtt_sample = ref nan in
     let freed_retx = ref false in
     let now = S.now o.o_hub.h_sched in
@@ -706,15 +700,16 @@ let handle_ack o ~upto ~pressure =
         (fun u ->
           if u.u_seq <= upto then begin
             freed := !freed + u.u_size;
-            freed_items := u.u_item :: !freed_items;
+            freed_us := u :: !freed_us;
             if u.u_retx then freed_retx := true
             else rtt_sample := now -. u.u_sent_at;
             false
           end
           else true)
         o.o_unacked;
-    let freed_items = List.rev !freed_items in
-    span_items o.o_hub Sim.Span.Ack freed_items;
+    let freed_us = List.rev !freed_us in
+    if Sim.Span.enabled (S.spans o.o_hub.h_sched) then
+      span_items o.o_hub Sim.Span.Ack (List.map (fun u -> u.u_item) freed_us);
     o.o_inflight_bytes <- o.o_inflight_bytes - !freed;
     o.o_retries <- 0;
     (* AIMD step. The RTT sample comes from the newest freed item that
@@ -738,7 +733,7 @@ let handle_ack o ~upto ~pressure =
            else (0.875 *. o.o_rtt_ewma) +. (0.125 *. !rtt_sample))
       end
     end;
-    (match o.o_on_ack with Some f -> f freed_items | None -> ());
+    (match o.o_on_ack with Some f -> List.iter (fun u -> f u.u_seq) freed_us | None -> ());
     (* restart the timer for the (new) oldest unacked item *)
     o.o_retx_gen <- o.o_retx_gen + 1;
     o.o_retx_armed <- false;
@@ -759,18 +754,6 @@ let break_in i ~reason =
     transmit hub ~dst:i.i_key.src (Reset { key = i.i_key; reason })
   end;
   mark_in_broken i reason
-
-(* Items arrive as validated views; a value-based consumer gets them
-   materialised here, a view-based one (the zero-copy target/stream
-   paths) receives the slices untouched. Materialisation of a
-   scan-validated slice cannot fail — [filter_map] only guards against
-   memory corruption. *)
-let deliver_fresh i fresh =
-  match i.i_deliver with
-  | Some (Deliver_views f) -> f fresh
-  | Some (Deliver_values f) ->
-      f (List.filter_map (fun vw -> Result.to_option (Xdr.View.materialize vw)) fresh)
-  | None -> ()
 
 let handle_data hub ~key ~first_seq ~items =
   match Hashtbl.find_opt hub.h_dead key with
@@ -818,7 +801,7 @@ let handle_data hub ~key ~first_seq ~items =
             if fresh <> [] then begin
               i.i_expected <- i.i_expected + List.length fresh;
               span_views hub Sim.Span.Deliver ~note:(Printf.sprintf "from n%d" key.src) fresh;
-              deliver_fresh i fresh
+              match i.i_deliver with Some f -> f fresh | None -> ()
             end;
             post_ack hub ~dst:key.src ~key ~upto:(i.i_expected - 1)
               ~pressure:(probe_pressure i)
@@ -1024,8 +1007,6 @@ let create_hub ?ack_delay ?dict ?transport ?net () =
   | Some _, Some _ | None, None ->
       invalid_arg "Chanhub.create_hub: pass exactly one of ~transport / ~net"
 
-let create_hub_tr ?ack_delay ?dict tr = create_hub ?ack_delay ?dict ~transport:tr ()
-
 let on_connect hub ~label acceptor = Hashtbl.replace hub.h_acceptors label acceptor
 
 let remove_acceptor hub ~label = Hashtbl.remove hub.h_acceptors label
@@ -1122,8 +1103,8 @@ let handoff_listen hub =
     on_connect hub ~label:handoff_label (fun i ->
         set_deliver i (fun items ->
             List.iter
-              (fun item ->
-                match Wire.parse_handoff_push item with
+              (fun vw ->
+                match Result.bind (Xdr.View.materialize vw) Wire.parse_handoff_push with
                 | Ok push -> handle_push hub push
                 | Error e -> hub_trace hub "handoff: malformed push dropped: %s" e)
               items))

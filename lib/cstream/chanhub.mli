@@ -166,10 +166,6 @@ val create_hub :
     resets the dictionary (epoch bump), so calls resubmitted after an
     incarnation change decode against a fresh table. *)
 
-val create_hub_tr : ?ack_delay:float -> ?dict:bool -> Transport.t -> hub
-  [@@deprecated "use create_hub ~transport instead"]
-(** Thin alias for [create_hub ~transport]. *)
-
 val hub_addr : hub -> Net.address
 (** This hub's transport address (the node address in sim mode). *)
 
@@ -228,11 +224,12 @@ val rtt_ewma : out_chan -> float
     (alpha 0.125, Karn-filtered: retransmitted items contribute no
     sample). [0.] until the first clean sample. *)
 
-val on_ack : out_chan -> (Xdr.value list -> unit) -> unit
-(** Install a hook fired once per cumulative ack with the items the ack
-    freed, oldest first. The pipelining outcome registry uses this to
-    learn when a call item can no longer be retransmitted — its outcome
-    becomes safely evictable (docs/PIPELINE.md). At most one hook. *)
+val on_ack : out_chan -> (int -> unit) -> unit
+(** Install a hook fired, for each cumulative ack, once per item seq
+    the ack freed, oldest first. The pipelining outcome registry uses
+    this to learn when a reply item can no longer be retransmitted —
+    its outcome becomes safely evictable (docs/PIPELINE.md). At most
+    one hook. *)
 
 val flush_out : out_chan -> unit
 (** Transmit everything buffered now. *)
@@ -255,21 +252,15 @@ val unacked_count : out_chan -> int
 
 (** {1 Receiving end} *)
 
-val set_deliver : in_chan -> (Xdr.value list -> unit) -> unit
+val set_deliver : in_chan -> (Xdr.View.t list -> unit) -> unit
 (** Install the in-order delivery callback. Each invocation passes the
     items of one arriving network message (so the receiver can charge
     per-message costs); concatenated across calls the items appear
-    exactly once, in send order. Items are materialised from their
-    frame slices for this callback; use {!set_deliver_views} for the
-    zero-copy path. *)
-
-val set_deliver_views : in_chan -> (Xdr.View.t list -> unit) -> unit
-(** Like {!set_deliver}, but items arrive as validated
+    exactly once, in send order. Items arrive as validated
     {!Xdr.View.t} slices of the frame buffer — nothing is decoded
-    until the callback asks for it (docs/WIRE.md §Lazy views). The
-    views borrow frame state and are not domain-safe: materialise
-    before offloading. The last [set_deliver]/[set_deliver_views]
-    call wins. *)
+    until the callback asks for it ({!Xdr.View.materialize}; docs/WIRE.md
+    §Lazy views). The views borrow frame state and are not domain-safe:
+    materialise before offloading. The last call wins. *)
 
 val in_key : in_chan -> key
 

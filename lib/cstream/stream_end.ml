@@ -162,7 +162,7 @@ let deliver_replies t items =
 let attach t chan =
   let label = reply_label t in
   Chanhub.on_connect t.hub ~label (fun in_chan ->
-      Chanhub.set_deliver_views in_chan (fun items -> deliver_replies t items));
+      Chanhub.set_deliver in_chan (fun items -> deliver_replies t items));
   Chanhub.on_out_break chan (fun reason -> handle_break t reason);
   t.chan <- chan
 
@@ -194,7 +194,7 @@ let create hub ~agent ~dst ~gid ?(config = Chanhub.default_config) () =
   attach t chan;
   t
 
-let call_traced ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
+let call ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
   match t.s_broken with
   | Some reason -> Error reason
   | None -> (
@@ -252,12 +252,6 @@ let call_traced ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
           Hashtbl.remove t.pending seq;
           t.next_seq <- seq;
           Error reason))
-
-let call_cid t ~port ~kind ~args ~on_reply =
-  Result.map fst (call_traced t ~port ~kind ~args ~on_reply)
-
-let call t ~port ~kind ~args ~on_reply =
-  Result.map (fun (_ : int) -> ()) (call_cid t ~port ~kind ~args ~on_reply)
 
 let flush t = if t.s_broken = None then Chanhub.flush_out t.chan
 

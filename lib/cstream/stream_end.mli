@@ -64,31 +64,22 @@ val incarnation : t -> int
 (** Restarts so far; 0 for a fresh stream. *)
 
 val call :
-  t -> port:string -> kind:Wire.kind -> args:Xdr.value ->
-  on_reply:(Wire.routcome -> unit) -> (unit, string) result
-(** Issue a call. [Error reason] means the stream is already broken —
-    the paper's "call fails and signals immediately, and no promise is
-    created". Otherwise [on_reply] fires exactly once, later, in
-    scheduler context; replies fire in call order. *)
-
-val call_cid :
-  t -> port:string -> kind:Wire.kind -> args:Xdr.value ->
-  on_reply:(Wire.routcome -> unit) -> (int, string) result
-(** {!call}, returning the stable call-id assigned to the call. Paired
-    with {!stable_id} it names this call's future outcome in a
-    transmissible {!Xdr.promise_ref} (promise pipelining,
-    docs/PIPELINE.md). *)
-
-val call_traced :
   ?handoff:Wire.handoff list ->
   ?elide:bool ->
   t -> port:string -> kind:Wire.kind -> args:Xdr.value ->
   on_reply:(Wire.routcome -> unit) -> (int * int, string) result
-(** {!call_cid}, additionally returning the call's causal trace id
-    ([cid, trace]). The trace id is allocated here at issue
+(** Issue a call. [Error reason] means the stream is already broken —
+    the paper's "call fails and signals immediately, and no promise is
+    created". Otherwise [on_reply] fires exactly once, later, in
+    scheduler context; replies fire in call order.
+
+    [Ok (cid, trace)] carries the call's stable call-id and its causal
+    trace id. Paired with {!stable_id}, the call-id names this call's
+    future outcome in a transmissible {!Xdr.promise_ref} (promise
+    pipelining, docs/PIPELINE.md). The trace id is allocated here
     ({!Sim.Span.next_trace}), kept across {!restart_resubmit}, and
     carried in the wire item while the scheduler's span store is
-    enabled (docs/TRACING.md) — the language layer stamps it on the
+    enabled (docs/TRACING.md); the language layer stamps it on the
     promise so {!Core.Promise} can record the claim edge.
 
     [handoff] annotates foreign [Pref]s in [args] and [elide] asks the

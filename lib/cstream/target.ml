@@ -667,23 +667,19 @@ let accept t in_chan =
   (* Ack-tied registry release (docs/PIPELINE.md): once the reply
      channel's cumulative ack covers a Call's reply item, no live
      stream can still claim or reference that outcome through this
-     connection — mark it preferentially evictable. *)
+     connection — mark it preferentially evictable. Replies leave in
+     call order, one per call, so the reply channel's item seq is the
+     call's stream seq. *)
   (match t.t_registry with
   | None -> ()
   | Some reg ->
-      Chanhub.on_ack reply (fun items ->
-          List.iter
-            (fun item ->
-              match Wire.parse_reply item with
-              | Ok (seq, _) -> (
-                  match Hashtbl.find_opt c.c_seq2cid seq with
-                  | Some cid ->
-                      Hashtbl.remove c.c_seq2cid seq;
-                      Pipeline.Registry.mark_releasable reg ~stream:c.c_stable ~call:cid
-                  | None -> ())
-              | Error _ -> ())
-            items));
-  Chanhub.set_deliver_views in_chan (fun items ->
+      Chanhub.on_ack reply (fun seq ->
+          match Hashtbl.find_opt c.c_seq2cid seq with
+          | Some cid ->
+              Hashtbl.remove c.c_seq2cid seq;
+              Pipeline.Registry.mark_releasable reg ~stream:c.c_stable ~call:cid
+          | None -> ()));
+  Chanhub.set_deliver in_chan (fun items ->
       if not c.c_broken then begin
         (* The cost model charges kernel overhead once per arriving
            network message; every lane the message feeds charges it

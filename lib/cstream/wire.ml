@@ -169,7 +169,7 @@ let outcome_of_value = function
 
 (* Replies have two wire forms: the compact pair (tracing off — the
    original format) and a field-named record carrying the call's trace
-   id (tracing on). [parse_reply] accepts both. *)
+   id (tracing on). [parse_reply_view] accepts both. *)
 let reply_value ~seq ~trace ov =
   match trace with
   | None -> Xdr.Pair (Xdr.Int seq, ov)
@@ -178,16 +178,6 @@ let reply_value ~seq ~trace ov =
 let reply_item ~seq ~trace outcome = reply_value ~seq ~trace (outcome_value outcome)
 
 let send_ok_item ~seq ~trace = reply_value ~seq ~trace (Xdr.Tagged ("o", Xdr.Unit))
-
-let parse_reply = function
-  | Xdr.Pair (Xdr.Int seq, ov) -> (
-      match outcome_of_value ov with Ok o -> Ok (seq, o) | Error e -> Error e)
-  | Xdr.Record fields as v -> (
-      match (List.assoc_opt "q" fields, List.assoc_opt "o" fields) with
-      | Some (Xdr.Int seq), Some ov -> (
-          match outcome_of_value ov with Ok o -> Ok (seq, o) | Error e -> Error e)
-      | _ -> Error (Format.asprintf "malformed reply item: %a" Xdr.pp_value v))
-  | v -> Error (Format.asprintf "malformed reply item: %a" Xdr.pp_value v)
 
 (* The trace id of a call or (traced-form) reply item; [None] for the
    compact forms, for untraced items and for anything malformed. Total:

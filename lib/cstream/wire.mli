@@ -120,9 +120,6 @@ val reply_item : seq:int -> trace:int option -> routcome -> Xdr.value
 val send_ok_item : seq:int -> trace:int option -> Xdr.value
 (** Minimal "completed normally" reply for a [Send]. *)
 
-val parse_reply : Xdr.value -> (int * routcome, string) result
-(** Accepts both reply forms; [send_ok_item] parses as [W_normal Unit]. *)
-
 val item_trace : Xdr.value -> int option
 (** The trace id carried by a call or reply item, if any. Total over
     arbitrary values — the channel layer applies it to every item it
@@ -156,7 +153,7 @@ val parse_call_view : Xdr.View.t -> (call_view, string) result
     envelope fields; [cv_args] stays lazy. *)
 
 val parse_reply_view : Xdr.View.t -> (int * Xdr.View.t, string) result
-(** View counterpart of {!parse_reply}: [(seq, outcome slice)]. The
+(** Parse a reply item of either form into [(seq, outcome slice)]. The
     outcome is left encoded so a stale reply costs no decode; pass it
     to {!outcome_of_view} when the call is actually pending. *)
 

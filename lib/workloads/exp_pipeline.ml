@@ -72,7 +72,7 @@ let run_mode ~depth ~mode () =
                visit this node. *)
             let p = ref (R.stream_call h 0) in
             for _ = 2 to depth do
-              p := R.stream_call_p h (R.pipe !p)
+              p := R.Call.(submit (piped h (R.pipe !p)))
             done;
             R.flush h;
             check ~expect:depth (P.claim !p))

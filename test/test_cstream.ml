@@ -35,8 +35,25 @@ let run_ok w =
       Alcotest.failf "deadlock: %s" (String.concat "," (List.map S.fiber_name fs))
   | S.Time_limit -> Alcotest.fail "unexpected time limit"
 
-let ints_of_values vs =
-  List.map (function Xdr.Int i -> i | v -> Alcotest.failf "not an int: %a" Xdr.pp_value v) vs
+(* Channels deliver lazy views; these tests check the decoded items. *)
+let ints_of_views vs =
+  List.map
+    (fun vw ->
+      match Xdr.View.materialize vw with
+      | Ok (Xdr.Int i) -> i
+      | Ok v -> Alcotest.failf "not an int: %a" Xdr.pp_value v
+      | Error e -> Alcotest.failf "undecodable item: %s" e)
+    vs
+
+(* A reply item as the stream end reads it: envelope view, then the
+   outcome slice. *)
+let parse_reply item =
+  match Xdr.View.of_string (Xdr.Bin.to_string item) with
+  | Error e -> Error e
+  | Ok vw -> (
+      match W.parse_reply_view vw with
+      | Error e -> Error e
+      | Ok (seq, ovw) -> Result.map (fun o -> (seq, o)) (W.outcome_of_view ovw))
 
 (* ------------------------------------------------------------------ *)
 (* Wire encoding *)
@@ -71,7 +88,7 @@ let test_wire_reply_roundtrips () =
   in
   List.iteri
     (fun i outcome ->
-      match W.parse_reply (W.reply_item ~seq:i ~trace:None outcome) with
+      match parse_reply (W.reply_item ~seq:i ~trace:None outcome) with
       | Ok (seq, got) ->
           check Alcotest.int "seq" i seq;
           check Alcotest.bool "outcome" true (got = outcome)
@@ -79,7 +96,7 @@ let test_wire_reply_roundtrips () =
     cases
 
 let test_wire_send_ok_parses_as_normal_unit () =
-  match W.parse_reply (W.send_ok_item ~seq:3 ~trace:None) with
+  match parse_reply (W.send_ok_item ~seq:3 ~trace:None) with
   | Ok (3, W.W_normal Xdr.Unit) -> ()
   | Ok _ -> Alcotest.fail "wrong parse"
   | Error e -> Alcotest.fail e
@@ -95,7 +112,7 @@ let test_wire_malformed_rejected () =
   (match W.parse_call (Xdr.Int 3) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parsed garbage call");
-  match W.parse_reply (Xdr.Str "nope") with
+  match parse_reply (Xdr.Str "nope") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "parsed garbage reply"
 
@@ -107,7 +124,7 @@ let collect_channel w ~cfg ~n =
      order, world) after the run completes. *)
   let received = ref [] in
   CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
-      CH.set_deliver in_chan (fun items -> received := !received @ ints_of_values items));
+      CH.set_deliver in_chan (fun items -> received := !received @ ints_of_views items));
   let out = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:"" cfg in
   ignore
     (S.spawn w.sched (fun () ->
@@ -184,7 +201,7 @@ let prop_chan_random_flush_interleavings =
       let w = make_world ~cfg ~seed () in
       let received = ref [] in
       CH.on_connect w.hub_b ~label:"sink" (fun in_chan ->
-          CH.set_deliver in_chan (fun items -> received := !received @ ints_of_values items));
+          CH.set_deliver in_chan (fun items -> received := !received @ ints_of_views items));
       let out =
         CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"sink" ~meta:""
           { CH.default_config with CH.max_batch = 4 }
@@ -299,7 +316,7 @@ let test_stream_call_reply () =
             SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 21)
               ~on_reply:(fun o -> got := Some o)
           with
-         | Ok () -> ()
+         | Ok _ -> ()
          | Error e -> Alcotest.fail e);
          SE.flush stream));
   run_ok w;
@@ -320,7 +337,7 @@ let test_stream_replies_in_call_order () =
              SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                ~on_reply:(fun _ -> order := i :: !order)
            with
-           | Ok () -> ()
+           | Ok _ -> ()
            | Error e -> Alcotest.fail e
          done;
          SE.flush stream));
@@ -337,7 +354,7 @@ let test_target_executes_in_call_order () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                 ~on_reply:(fun _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream));
   run_ok w;
@@ -358,7 +375,7 @@ let test_streams_processed_concurrently () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 1)
                 ~on_reply:(fun _ -> ())
-               : (unit, string) result);
+               : (int * int, string) result);
            SE.flush stream;
            match SE.synch stream with
            | Ok () -> finished := (name, S.now w.sched) :: !finished
@@ -383,7 +400,7 @@ let test_stream_signal_propagates () =
          ignore
            (SE.call stream ~port:"fail" ~kind:W.Call ~args:Xdr.Unit
               ~on_reply:(fun o -> got := Some o)
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream));
   run_ok w;
   match !got with
@@ -401,7 +418,7 @@ let test_send_kind_gets_compact_ok () =
          ignore
            (SE.call stream ~port:"double" ~kind:W.Send ~args:(Xdr.Int 21)
               ~on_reply:(fun o -> got := Some o)
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream));
   run_ok w;
   match !got with
@@ -418,15 +435,15 @@ let test_synch_ok_and_exception_reply () =
     (S.spawn w.sched (fun () ->
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 1) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          results := ("first", SE.synch stream = Ok ()) :: !results;
          ignore
            (SE.call stream ~port:"fail" ~kind:W.Call ~args:Xdr.Unit ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          results := ("second", SE.synch stream = Error `Exception_reply) :: !results;
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 2) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          (* the exception flag was consumed by the previous synch *)
          results := ("third", SE.synch stream = Ok ()) :: !results));
   run_ok w;
@@ -447,7 +464,7 @@ let test_synch_waits_for_completion () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                 ~on_reply:(fun _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          (match SE.synch stream with Ok () -> () | Error _ -> Alcotest.fail "synch");
          done_at := S.now w.sched;
@@ -467,7 +484,7 @@ let test_crash_breaks_stream_unavailable () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                 ~on_reply:(fun o -> outcomes := o :: !outcomes)
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream));
   run_ok w;
@@ -489,7 +506,7 @@ let test_call_on_broken_stream_fails_immediately () =
          Net.crash w.net w.node_b;
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 1) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream));
   run_ok w;
   (* Now broken; a further call must fail without creating anything. *)
@@ -497,7 +514,7 @@ let test_call_on_broken_stream_fails_immediately () =
     SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 2) ~on_reply:(fun _ -> ())
   with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "call on broken stream should fail immediately"
+  | Ok _ -> Alcotest.fail "call on broken stream should fail immediately"
 
 let test_restart_reincarnates () =
   let w = make_world () in
@@ -510,7 +527,7 @@ let test_restart_reincarnates () =
          Net.crash w.net w.node_b;
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 1) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream;
          (* wait for the break *)
          while SE.broken stream = None do
@@ -523,7 +540,7 @@ let test_restart_reincarnates () =
             SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 21)
               ~on_reply:(fun o -> got := Some o)
           with
-         | Ok () -> ()
+         | Ok _ -> ()
          | Error e -> Alcotest.fail e);
          SE.flush stream));
   run_ok w;
@@ -551,13 +568,13 @@ let test_receiver_initiated_break () =
     (S.spawn w.sched (fun () ->
          ignore
            (SE.call stream ~port:"work" ~kind:W.Call ~args:Xdr.Unit ~on_reply:(record "ok1")
-             : (unit, string) result);
+             : (int * int, string) result);
          ignore
            (SE.call stream ~port:"poison" ~kind:W.Call ~args:Xdr.Unit ~on_reply:(record "bad")
-             : (unit, string) result);
+             : (int * int, string) result);
          ignore
            (SE.call stream ~port:"work" ~kind:W.Call ~args:Xdr.Unit ~on_reply:(record "after")
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream));
   run_ok w;
   let find tag = List.assoc tag !outcomes in
@@ -583,7 +600,7 @@ let test_stream_reliable_under_loss () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                 ~on_reply:(fun o -> replies := o :: !replies)
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          match SE.synch stream with
          | Ok () -> ()
@@ -615,14 +632,14 @@ let test_partition_breaks_then_restart_works () =
          (* first call works *)
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 1) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream;
          S.sleep w.sched 10e-3;
          (* partition: next call can never be delivered *)
          Net.partition w.net (Net.address w.node_a) (Net.address w.node_b);
          ignore
            (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 2) ~on_reply:(fun _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream;
          while SE.broken stream = None do
            S.sleep w.sched 5e-3
@@ -634,7 +651,7 @@ let test_partition_breaks_then_restart_works () =
            SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int 21)
              ~on_reply:(fun o -> got := Some o)
          with
-         | Ok () -> SE.flush stream
+         | Ok _ -> SE.flush stream
          | Error e -> Alcotest.fail e));
   run_ok w;
   match !got with
@@ -660,7 +677,7 @@ let test_break_during_synch_observes_broken () =
            ignore
              (SE.call stream ~port:"double" ~kind:W.Call ~args:(Xdr.Int i)
                 ~on_reply:(fun _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          (* parks in synch; the retransmit-exhaustion break must wake it *)
          result := Some (SE.synch stream)));
@@ -687,7 +704,7 @@ let test_restart_inflight_resolves_each_exactly_once () =
                 ~on_reply:(fun o ->
                   counts.(i) <- counts.(i) + 1;
                   outcomes.(i) <- Some o)
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream;
          S.sleep w.sched 10e-3;
@@ -729,7 +746,7 @@ let test_resubmit_preserves_and_replays_calls () =
                 ~on_reply:(fun o ->
                   counts.(i) <- counts.(i) + 1;
                   match o with W.W_normal _ -> incr normals | _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream;
          while SE.broken stream = None do
@@ -782,7 +799,7 @@ let test_resubmit_dedups_already_executed_calls () =
                 ~on_reply:(fun o ->
                   counts.(i) <- counts.(i) + 1;
                   match o with W.W_normal _ -> incr normals | _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream;
          (* 3 ms: the calls have been delivered, executed and acked, but
@@ -796,7 +813,7 @@ let test_resubmit_dedups_already_executed_calls () =
               ~on_reply:(fun o ->
                 counts.(3) <- counts.(3) + 1;
                 match o with W.W_normal _ -> incr normals | _ -> ())
-             : (unit, string) result);
+             : (int * int, string) result);
          SE.flush stream;
          while SE.broken stream = None do
            S.sleep w.sched 5e-3
@@ -828,9 +845,9 @@ let test_two_channels_do_not_interfere () =
   let w = make_world () in
   let got1 = ref [] and got2 = ref [] in
   CH.on_connect w.hub_b ~label:"one" (fun in_chan ->
-      CH.set_deliver in_chan (fun items -> got1 := !got1 @ ints_of_values items));
+      CH.set_deliver in_chan (fun items -> got1 := !got1 @ ints_of_views items));
   CH.on_connect w.hub_b ~label:"two" (fun in_chan ->
-      CH.set_deliver in_chan (fun items -> got2 := !got2 @ ints_of_values items));
+      CH.set_deliver in_chan (fun items -> got2 := !got2 @ ints_of_views items));
   let c1 = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"one" ~meta:"" CH.rpc_config in
   let c2 = CH.connect w.hub_a ~dst:(Net.address w.node_b) ~label:"two" ~meta:"" CH.rpc_config in
   ignore
@@ -873,7 +890,7 @@ let test_unordered_target_overlaps_but_replies_in_order () =
                       reply_order := v :: !reply_order;
                       done_at := S.now w.sched
                   | _ -> ())
-               : (unit, string) result)
+               : (int * int, string) result)
          done;
          SE.flush stream));
   run_ok w;

@@ -119,7 +119,7 @@ let test_rpc_signal_typed () =
   | Some (P.Signal (No_such_student "")) -> ()
   | _ -> Alcotest.fail "expected typed signal"
 
-let test_stream_call_promises_in_order () =
+let test_stream_calls_ready_in_order () =
   (* "if the i+1st result is ready, then so is the ith" (§3). Checked
      at every scheduling point by a monitor fiber. *)
   let w = make_world ~db_service:1e-3 () in
@@ -519,8 +519,8 @@ let test_stream_call_statement_form () =
   ignore
     (S.spawn w.sched (fun () ->
          let h = db_handle w (agent w "c") in
-         R.stream_call_ h ("a", 10);
-         R.stream_call_ h ("a", 20);
+         R.Call.(detach (make h ("a", 10)));
+         R.Call.(detach (make h ("a", 20)));
          match R.synch h with
          | Ok () -> ()
          | Error _ -> Alcotest.fail "synch"));
@@ -630,7 +630,7 @@ let run_grades_fig31 w =
          List.iter2
            (fun (stu, _) avg_p ->
              let avg = P.claim_normal avg_p ~on_signal:(fun (No_such_student _) -> nan) in
-             R.stream_call_ print (Printf.sprintf "%s: %.1f" stu avg))
+             R.Call.(detach (make print (Printf.sprintf "%s: %.1f" stu avg))))
            students averages;
          (match R.synch print with
          | Ok () -> ()
@@ -664,7 +664,7 @@ let run_grades_fig42 w =
              | Error _ -> failwith "cannot_record")
            ~consume:(fun (stu, avg_p) ->
              let avg = P.claim_normal avg_p ~on_signal:(fun (No_such_student _) -> nan) in
-             R.stream_call_ print (Printf.sprintf "%s: %.1f" stu avg))
+             R.Call.(detach (make print (Printf.sprintf "%s: %.1f" stu avg))))
            ();
          match R.synch print with
          | Ok () -> ()
@@ -718,7 +718,7 @@ let test_fig41_termination_problem () =
                      | P.Normal v -> v
                      | P.Signal _ | P.Unavailable _ | P.Failure _ -> nan
                    in
-                   R.stream_call_ print (Printf.sprintf "%s: %.1f" stu avg))
+                   R.Call.(detach (make print (Printf.sprintf "%s: %.1f" stu avg))))
                  students;
                Ok ())
          in
@@ -763,7 +763,7 @@ let test_fig42_group_termination_rescues () =
                    (fun _ ->
                      let stu, avg_p = Sched.Bqueue.deq aveq in
                      let avg = P.claim_normal avg_p ~on_signal:(fun _ -> nan) in
-                     R.stream_call_ print (Printf.sprintf "%s: %.1f" stu avg))
+                     R.Call.(detach (make print (Printf.sprintf "%s: %.1f" stu avg))))
                    students);
              ]
          with
@@ -778,7 +778,7 @@ let suite =
       [
         Alcotest.test_case "rpc normal" `Quick test_rpc_normal;
         Alcotest.test_case "rpc typed signal" `Quick test_rpc_signal_typed;
-        Alcotest.test_case "promises ready in order" `Quick test_stream_call_promises_in_order;
+        Alcotest.test_case "promises ready in order" `Quick test_stream_calls_ready_in_order;
         Alcotest.test_case "encode failure: no promise" `Quick test_encode_failure_no_promise;
         Alcotest.test_case "decode failure breaks stream" `Quick test_decode_failure_breaks_stream;
         Alcotest.test_case "result encode failure breaks stream" `Quick

@@ -76,7 +76,7 @@ let test_chain_single_round_trip () =
          let h = handle w ~agent:"c" ~gid:"main" step_sig in
          let p = ref (R.stream_call h 0) in
          for _ = 2 to depth do
-           p := R.stream_call_p h (R.pipe !p)
+           p := R.Call.(submit (piped h (R.pipe !p)))
          done;
          R.flush h;
          got := Some (P.claim !p);
@@ -115,7 +115,7 @@ let test_cross_stream_parking () =
          let consumer = handle w ~agent:"b" ~gid:"aux" step_sig in
          let p1 = R.stream_call producer 7 in
          R.flush producer;
-         let p2 = R.stream_call_p consumer (R.pipe p1) in
+         let p2 = R.Call.(submit (piped consumer (R.pipe p1))) in
          R.flush consumer;
          got := Some (P.claim p2)));
   run_ok w.sched;
@@ -151,10 +151,10 @@ let test_producer_signal_propagates () =
          let h = handle w ~agent:"c" ~gid:"main" checked_sig in
          (* Producer signals: dependent must signal identically. *)
          let p1 = R.stream_call h 100 in
-         let p2 = R.stream_call_p h (R.pipe p1) in
+         let p2 = R.Call.(submit (piped h (R.pipe p1))) in
          (* Producer fails (handler crash): dependent must fail. *)
          let q1 = R.stream_call h (-1) in
-         let q2 = R.stream_call_p h (R.pipe q1) in
+         let q2 = R.Call.(submit (piped h (R.pipe q1))) in
          R.flush h;
          sig_out := Some (P.claim p2);
          fail_out := Some (P.claim q2)));
@@ -191,7 +191,7 @@ let test_dead_producer_short_circuits () =
          | P.Unavailable _ -> ()
          | _ -> Alcotest.fail "broken stream should resolve p1 Unavailable");
          msgs_before := Sim.Stats.peek (Net.stats w.net) "msgs_sent";
-         let p2 = R.stream_call_p h (R.pipe p1) in
+         let p2 = R.Call.(submit (piped h (R.pipe p1))) in
          check Alcotest.bool "dead-producer dependent is ready at once" true (P.ready p2);
          msgs_after := Sim.Stats.peek (Net.stats w.net) "msgs_sent";
          out := Some (P.claim p2)));
@@ -222,8 +222,8 @@ let test_field_selection () =
          let maker = handle w ~agent:"a" ~gid:"main" make_sig in
          let stepper = handle w ~agent:"b" ~gid:"aux" step_sig in
          let p1 = R.stream_call maker 3 in
-         let p2 = R.stream_call_p stepper (R.pipe_field p1 ~field:"hi") in
-         let p3 = R.stream_call_p stepper (R.pipe_field p1 ~field:"nope") in
+         let p2 = R.Call.(submit (piped stepper (R.pipe_field p1 ~field:"hi"))) in
+         let p3 = R.Call.(submit (piped stepper (R.pipe_field p1 ~field:"nope"))) in
          R.flush maker;
          R.flush stepper;
          got := Some (P.claim p2);
@@ -263,7 +263,7 @@ let test_forward_ref_on_same_stream_fails () =
             SE.call se ~port:"step" ~kind:Cstream.Wire.Call ~args ~on_reply:(fun o ->
                 out := Some o)
           with
-         | Ok () -> ()
+         | Ok _ -> ()
          | Error e -> Alcotest.failf "call rejected: %s" e);
          SE.flush se));
   run_ok w.sched;
@@ -285,7 +285,7 @@ let test_cross_node_pipe_rejected () =
          let ag = Core.Agent.create w.client_hub ~name:"b" ~config:batch_cfg () in
          let h2 = R.bind ag ~dst:(Net.address other_node) ~gid:"main" step_sig in
          let p1 = R.stream_call h1 1 in
-         match R.stream_call_p h2 (R.pipe p1) with
+         match R.Call.(submit (allow_handoff false (piped h2 (R.pipe p1)))) with
          | _ -> Alcotest.fail "cross-node pipe must be rejected"
          | exception P.Failure_exn _ -> ()));
   run_ok w.sched
@@ -325,7 +325,7 @@ let test_resubmit_dependent_exactly_once () =
          let se = R.stream h in
          SE.set_preserve_on_break se true;
          let p1 = R.stream_call h 7 in
-         let p2 = R.stream_call_p h (R.pipe p1) in
+         let p2 = R.Call.(submit (piped h (R.pipe p1))) in
          R.flush h;
          (* A probe into the outage: the first two calls were already
             acked, so without fresh unacked data the client would never
@@ -401,7 +401,7 @@ let test_parked_dependent_conn_break_exactly_once () =
          let p1 = R.stream_call producer 7 in
          R.flush producer;
          let p0 = R.stream_call consumer 100 in
-         let p2 = R.stream_call_p consumer (R.pipe p1) in
+         let p2 = R.Call.(submit (piped consumer (R.pipe p1))) in
          R.flush consumer;
          (* Probes into the outage so each sender notices the break. *)
          S.sleep w.sched 4e-3;
@@ -466,7 +466,7 @@ let test_evicted_reference_fails () =
             SE.call se ~port:"step" ~kind:Cstream.Wire.Call ~args ~on_reply:(fun o ->
                 out := Some o)
           with
-         | Ok () -> ()
+         | Ok _ -> ()
          | Error e -> Alcotest.failf "call rejected: %s" e);
          SE.flush se));
   run_ok w.sched;
@@ -497,7 +497,7 @@ let test_cross_guardian_ref_fails () =
          let producer = handle w ~agent:"a" ~gid:"main" step_sig in
          let dependent = handle w ~agent:"b" ~gid:"g2" step_sig in
          let p1 = R.stream_call producer 1 in
-         let p2 = R.stream_call_p dependent (R.pipe p1) in
+         let p2 = R.Call.(submit (piped dependent (R.pipe p1))) in
          R.flush producer;
          R.flush dependent;
          ignore (P.claim p1 : _ P.outcome);
@@ -532,7 +532,7 @@ let test_parked_waiters_reclaimed_on_conn_break () =
          let consumer = handle w ~agent:"b" ~gid:"aux" step_sig in
          let p1 = R.stream_call producer 7 in
          R.flush producer;
-         let _p2 = R.stream_call_p consumer (R.pipe p1) in
+         let _p2 = R.Call.(submit (piped consumer (R.pipe p1))) in
          R.flush consumer;
          S.sleep w.sched 5e-3;
          check Alcotest.int "dependent parked one waiter" 1 (Pipeline.Registry.waiting reg);
@@ -630,6 +630,92 @@ let test_registry_fifo_stays_bounded () =
   check Alcotest.int "remembered count" cap (Pipeline.Registry.known reg)
 
 (* ------------------------------------------------------------------ *)
+(* The call builder: [defer_result] holds on a piped plan, and every
+   misuse branch is refused with [Invalid_argument] before anything is
+   sent. *)
+
+let test_deferred_piped_chain () =
+  let w = make_world () in
+  G.register w.server ~group:"main" step_sig (fun _ n -> Ok (n + 1));
+  let o2 = ref None and o3 = ref None in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let h = handle w ~agent:"c" ~gid:"main" step_sig in
+         let p1 = R.Call.(submit (defer_result (make h 1))) in
+         let p2 = R.Call.(submit (defer_result (piped h (R.pipe p1)))) in
+         let p3 = R.Call.(submit (piped h (R.pipe p2))) in
+         R.flush h;
+         o3 := Some (P.claim p3);
+         o2 := Some (P.claim p2)));
+  run_ok w.sched;
+  (match !o2 with
+  | Some (P.Failure r) ->
+      check Alcotest.bool "deferred marker names defer_result" true
+        (contains ~affix:"defer_result" r)
+  | _ -> Alcotest.fail "claiming a deferred piped call must yield the deferred-result marker");
+  check Alcotest.bool "end of the chain gets the value" true (!o3 = Some (P.Normal 4))
+
+(* Runs [misuse] on a live handle whose stream already carries one
+   blocked call [p1]; the misuse must raise [Invalid_argument] and
+   leave nothing new on the stream. *)
+let builder_refuses what misuse =
+  let w = make_world () in
+  G.register w.server ~group:"main" step_sig (fun _ n -> Ok (n + 1));
+  ignore
+    (S.spawn w.sched (fun () ->
+         let h = handle w ~agent:"c" ~gid:"main" step_sig in
+         let p1 = R.stream_call h 1 in
+         (match misuse h p1 with
+         | () -> Alcotest.failf "%s must raise Invalid_argument" what
+         | exception Invalid_argument _ -> ());
+         check Alcotest.int (what ^ ": nothing issued") 1 (SE.outstanding (R.stream h));
+         R.flush h;
+         ignore (P.claim p1 : _ P.outcome)));
+  run_ok w.sched
+
+let test_submit_send_refused () =
+  builder_refuses "submit on a send plan" (fun h _ ->
+      ignore (R.Call.(submit (as_send (make h 2))) : _ P.t))
+
+let test_retry_piped_or_deferred_refused () =
+  builder_refuses "with_retry on a piped plan" (fun h p1 ->
+      ignore (R.Call.(submit (with_retry (piped h (R.pipe p1)))) : _ P.t));
+  builder_refuses "with_retry on a deferred plan" (fun h _ ->
+      ignore (R.Call.(submit (with_retry (defer_result (make h 2)))) : _ P.t))
+
+let test_detach_retry_refused () =
+  builder_refuses "detach with retry" (fun h _ -> R.Call.(detach (with_retry (make h 2))))
+
+let test_send_piped_refused () =
+  builder_refuses "send with a piped argument" (fun h p1 ->
+      R.Call.(detach (as_send (piped h (R.pipe p1)))))
+
+(* End-to-end ack-tied release: each reply's ack, fired through the
+   reply channel's ack hook into Target, marks that call's outcome
+   releasable, so once the registry is full its evictions pick acked
+   victims rather than plain FIFO ones. *)
+let test_acked_replies_release_registry_entries () =
+  let w = make_world ~pipeline_cache:4 () in
+  G.register w.server ~group:"main" step_sig (fun _ n -> Ok (n + 1));
+  let got = ref [] in
+  ignore
+    (S.spawn w.sched (fun () ->
+         let h = handle w ~agent:"c" ~gid:"main" step_sig in
+         for i = 1 to 16 do
+           match R.rpc h i with
+           | P.Normal v -> got := v :: !got
+           | _ -> Alcotest.failf "rpc %d did not complete normally" i
+         done));
+  run_ok w.sched;
+  check Alcotest.(list int) "every rpc answered" (List.init 16 (fun i -> 16 - i + 1)) !got;
+  let reg = G.pipeline_registry w.server in
+  check Alcotest.int "registry holds its cap" 4 (Pipeline.Registry.known reg);
+  check Alcotest.bool
+    (Printf.sprintf "evictions chose acked victims (%d)" (Pipeline.Registry.acked_evictions reg))
+    true
+    (Pipeline.Registry.acked_evictions reg > 0)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "pipeline"
@@ -664,6 +750,18 @@ let () =
             test_registry_waiter_accounting;
           Alcotest.test_case "registry FIFO queue stays O(cap)" `Quick
             test_registry_fifo_stays_bounded;
+          Alcotest.test_case "acked replies release registry entries (end to end)" `Quick
+            test_acked_replies_release_registry_entries;
+        ] );
+      ( "call builder",
+        [
+          Alcotest.test_case "defer_result holds on a piped plan" `Quick
+            test_deferred_piped_chain;
+          Alcotest.test_case "submit on a send plan refused" `Quick test_submit_send_refused;
+          Alcotest.test_case "with_retry on piped/deferred plan refused" `Quick
+            test_retry_piped_or_deferred_refused;
+          Alcotest.test_case "detach with retry refused" `Quick test_detach_retry_refused;
+          Alcotest.test_case "send with piped argument refused" `Quick test_send_piped_refused;
         ] );
       ( "supervision",
         [

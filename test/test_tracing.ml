@@ -237,7 +237,7 @@ let test_parked_pipelined_call_spans () =
     (S.spawn w.sched (fun () ->
          let h = handle w ~agent:"c" ~gid:"pipe" () in
          let p1 = R.stream_call h 1 in
-         let p2 = R.stream_call_p h (R.pipe p1) in
+         let p2 = R.Call.(submit (piped h (R.pipe p1))) in
          R.flush h;
          check Alcotest.int "chained result" 3 (claim_normal p2);
          tid1 := trace_of p1;
@@ -304,7 +304,15 @@ let test_wire_identity_when_disabled () =
   let traced_reply = W.reply_item ~seq:5 ~trace:(Some 9) (W.W_normal (Xdr.Int 43)) in
   check Alcotest.(option int) "traced reply carries the id" (Some 9)
     (W.item_trace traced_reply);
-  match (W.parse_reply reply, W.parse_reply traced_reply) with
+  let parse_reply item =
+    match Xdr.View.of_string (bin item) with
+    | Error e -> Error e
+    | Ok vw -> (
+        match W.parse_reply_view vw with
+        | Error e -> Error e
+        | Ok (seq, ovw) -> Result.map (fun o -> (seq, o)) (W.outcome_of_view ovw))
+  in
+  match (parse_reply reply, parse_reply traced_reply) with
   | Ok (sa, W.W_normal (Xdr.Int va)), Ok (sb, W.W_normal (Xdr.Int vb)) ->
       check Alcotest.(pair int int) "both reply forms parse alike" (sa, va) (sb, vb)
   | _ -> Alcotest.fail "reply items failed to parse"

@@ -192,6 +192,16 @@ let test_trailing_garbage_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing byte accepted"
 
+(* A nine-byte varint can overflow into a negative int; as a string
+   back-reference it must be refused, not used as an array index
+   (found by [prop_corruption_never_raises], qcheck seed 601520581). *)
+let test_negative_string_ref_rejected () =
+  let ref_min_int_plus_5 = "\x05\x85\x80\x80\x80\x80\x80\x80\x80\x40" in
+  match B.of_string ref_min_int_plus_5 with
+  | Error _ -> ()
+  | Ok v -> Alcotest.failf "negative string ref decoded to %a" Xdr.pp_value v
+  | exception e -> Alcotest.failf "negative string ref raised %s" (Printexc.to_string e)
+
 let prop_corruption_never_raises =
   QCheck.Test.make ~name:"corrupted buffers never raise" ~count:300
     QCheck.(triple arb_value small_int (int_bound 255))
@@ -324,7 +334,7 @@ let run_echo ~w ~cfg ~n =
            match
              SE.call se ~port:"p" ~kind:W.Call ~args:(Xdr.Int i) ~on_reply:(fun _ -> incr replies)
            with
-           | Ok () -> ()
+           | Ok _ -> ()
            | Error e -> Alcotest.failf "call failed: %s" e
          done;
          match SE.synch se with
@@ -470,7 +480,7 @@ let test_stream_call_window_preserves_order () =
     S.spawn w.sched (fun () ->
         for i = lo to hi do
           match SE.call se ~port:"p" ~kind:W.Call ~args:(Xdr.Int i) ~on_reply:(fun _ -> ()) with
-          | Ok () -> ()
+          | Ok _ -> ()
           | Error e -> Alcotest.failf "call failed: %s" e
         done)
   in
@@ -806,6 +816,8 @@ let () =
         [
           Alcotest.test_case "every truncation errors" `Quick test_truncated_returns_error;
           Alcotest.test_case "trailing garbage rejected" `Quick test_trailing_garbage_rejected;
+          Alcotest.test_case "negative string ref rejected" `Quick
+            test_negative_string_ref_rejected;
           QCheck_alcotest.to_alcotest prop_corruption_never_raises;
           QCheck_alcotest.to_alcotest prop_random_bytes_never_raise;
         ] );
