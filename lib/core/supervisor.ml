@@ -48,13 +48,9 @@ let on_state_change t f = t.on_state <- Some f
 
 let counter t name = Sim.Stats.counter (S.stats t.sup_sched) name
 
-let trace t fmt = Sim.Trace.recordf (S.trace t.sup_sched) ~time:(S.now t.sup_sched) fmt
-
 let set_state t s =
   if t.state <> s then begin
     t.state <- s;
-    trace t "supervisor %s->%s: %a" (SE.agent t.sup_stream) (SE.gid t.sup_stream)
-      pp_breaker_state s;
     match t.on_state with Some f -> f s | None -> ()
   end
 
@@ -85,8 +81,6 @@ and handle_break t reason =
        have executed at most once at the receiver — and new calls fail
        fast until the next probe. *)
     Sim.Stats.incr (counter t "sup_opens");
-    trace t "supervisor %s->%s: open (attempt %d, break: %s)" (SE.agent t.sup_stream)
-      (SE.gid t.sup_stream) t.attempts reason;
     set_state t Open;
     SE.fail_pending t.sup_stream ~reason:("circuit open: " ^ reason);
     S.after t.sup_sched t.cfg.open_timeout (fun () ->
@@ -99,10 +93,7 @@ and handle_break t reason =
         end)
   end
   else begin
-    let delay = backoff_delay t in
-    trace t "supervisor %s->%s: restart in %.4fs (attempt %d/%d, break: %s)"
-      (SE.agent t.sup_stream) (SE.gid t.sup_stream) delay t.attempts t.cfg.retry_budget reason;
-    S.after t.sup_sched delay (fun () ->
+    S.after t.sup_sched (backoff_delay t) (fun () ->
         if (not t.stopped) && t.state <> Open then begin
           do_restart t;
           arm t

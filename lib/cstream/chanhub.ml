@@ -120,42 +120,67 @@ let decode_acks d =
     in
     go n []
 
+(* The frame grammar after the header, once for both decoders: the
+   caller picks the item reader — [B.read_value] materialises trees
+   for {!decode_packet}, [Xdr.View.read] validates and slices for the
+   live receive path. *)
+type 'item inbound =
+  | I_data of { key : key; first_seq : int; acks : ack_entry list; items : 'item list }
+  | I_ack of ack_entry list
+  | I_reset of { key : key; reason : string }
+  | I_hello of int  (* peer offers its dictionary, payload = epoch *)
+  | I_welcome of int  (* peer accepted ours *)
+
+let decode_body ~read_item d =
+  let* tag = B.read_byte d in
+  let* p =
+    match tag with
+    | 1 ->
+        let* key = decode_key d in
+        let* first_seq = B.read_uvarint d in
+        let* acks = decode_acks d in
+        let* n = B.read_uvarint d in
+        if n < 0 || n > B.remaining d then Error "item count overruns input"
+        else
+          let rec go k acc =
+            if k = 0 then Ok (List.rev acc)
+            else
+              let* item = read_item d in
+              go (k - 1) (item :: acc)
+          in
+          let* items = go n [] in
+          Ok (I_data { key; first_seq; acks; items })
+    | 2 ->
+        let* acks = decode_acks d in
+        Ok (I_ack acks)
+    | 3 ->
+        let* key = decode_key d in
+        let* reason = B.read_raw_string d in
+        Ok (I_reset { key; reason })
+    | 4 ->
+        let* epoch = B.read_uvarint d in
+        Ok (I_hello epoch)
+    | 5 ->
+        let* epoch = B.read_uvarint d in
+        Ok (I_welcome epoch)
+    | t -> Error (Printf.sprintf "unknown packet tag %d" t)
+  in
+  let* () = B.expect_end d in
+  Ok p
+
+(* v1 frames only; dictionary control frames are not packets. *)
 let decode_packet frame =
   let d = B.decoder frame in
   let* v = B.read_byte d in
   if v <> B.version then Error (Printf.sprintf "unsupported wire version %d" v)
   else
-    let* tag = B.read_byte d in
-    let* p =
-      match tag with
-      | 1 ->
-          let* key = decode_key d in
-          let* first_seq = B.read_uvarint d in
-          let* acks = decode_acks d in
-          let* n = B.read_uvarint d in
-          if n < 0 || n > B.remaining d then Error "item count overruns input"
-          else
-            let rec go k acc =
-              if k = 0 then Ok (List.rev acc)
-              else
-                let* item = B.read_value d in
-                go (k - 1) (item :: acc)
-            in
-            let* items = go n [] in
-            Ok (Data { key; first_seq; acks; items })
-      | 2 ->
-          let* acks = decode_acks d in
-          Ok (Ack { acks })
-      | 3 ->
-          let* key = decode_key d in
-          let* reason = B.read_raw_string d in
-          Ok (Reset { key; reason })
-      | t -> Error (Printf.sprintf "unknown packet tag %d" t)
-    in
-    let* () = B.expect_end d in
-    Ok p
-
-let packet_bytes p = String.length (encode_packet p)
+    let* p = decode_body ~read_item:B.read_value d in
+    match p with
+    | I_data { key; first_seq; acks; items } -> Ok (Data { key; first_seq; acks; items })
+    | I_ack acks -> Ok (Ack { acks })
+    | I_reset { key; reason } -> Ok (Reset { key; reason })
+    | I_hello _ -> Error "unknown packet tag 4"
+    | I_welcome _ -> Error "unknown packet tag 5"
 
 (* ------------------------------------------------------------------ *)
 
@@ -170,8 +195,6 @@ type config = {
   adaptive_window : bool;
   window_min_bytes : int;
   window_increase : int;
-  window_decrease : float;
-  rtt_inflation : float;
 }
 
 let default_config =
@@ -186,8 +209,6 @@ let default_config =
     adaptive_window = false;
     window_min_bytes = 512;
     window_increase = 256;
-    window_decrease = 0.5;
-    rtt_inflation = 2.0;
   }
 
 let rpc_config = { default_config with max_batch = 1; flush_interval = 0.0 }
@@ -325,8 +346,6 @@ let on_out_break o f =
       f reason
   | None -> o.o_on_break <- f :: o.o_on_break
 
-let unacked_count o = o.o_buf_len + List.length o.o_unacked
-
 let inflight_bytes o = o.o_buf_bytes + o.o_inflight_bytes
 
 let window_bytes o = o.o_window
@@ -345,8 +364,6 @@ let set_pressure i f = i.i_pressure <- Some f
 
 let probe_pressure i = match i.i_pressure with Some f -> max 0 (f ()) | None -> 0
 
-let in_broken i = i.i_broken
-
 let on_in_break i f =
   match i.i_broken with Some reason -> f reason | None -> i.i_on_break <- f :: i.i_on_break
 
@@ -364,8 +381,6 @@ let hub_counter hub name = Sim.Stats.counter (S.stats hub.h_sched) name
 let bump c = Sim.Stats.incr (Lazy.force c)
 
 let bump_by c n = Sim.Stats.add (Lazy.force c) n
-
-let hub_trace hub fmt = Sim.Trace.recordf (S.trace hub.h_sched) ~time:(S.now hub.h_sched) fmt
 
 (* Causal tracing (docs/TRACING.md): every item that carries a trace id
    gets a span at each transport edge. Items without one — all of them,
@@ -512,7 +527,6 @@ let wake_waiters o =
 let mark_broken o reason =
   if o.o_broken = None then begin
     Sim.Stats.incr (hub_counter o.o_hub "chan_out_breaks");
-    hub_trace o.o_hub "chan: out %s->%d broken: %s" o.o_key.label o.o_dst reason;
     o.o_broken <- Some reason;
     o.o_buf <- [];
     o.o_buf_len <- 0;
@@ -542,21 +556,25 @@ let break_out o ~reason =
 
 (* --- AIMD window controller (docs/OVERLOAD.md) -------------------- *)
 
+(* Multiplicative cut factor, and how far above the RTT EWMA an ack
+   sample must land to count as congestion. *)
+let window_decrease = 0.5
+
+let rtt_inflation = 2.0
+
 (* Multiplicative decrease, at most once per outstanding flight: after
    a cut, everything that was in the air at cut time must be acked
    before the next cut, so one congestion episode costs one halving
    instead of collapsing the window to the floor. *)
-let cut_window o ~why =
+let cut_window o =
   if o.o_cfg.adaptive_window && o.o_acked_upto >= o.o_cut_barrier then begin
     let next =
       max o.o_cfg.window_min_bytes
-        (int_of_float (float_of_int o.o_window *. o.o_cfg.window_decrease))
+        (int_of_float (float_of_int o.o_window *. window_decrease))
     in
     if next < o.o_window then begin
       o.o_window <- next;
-      Sim.Stats.incr (hub_counter o.o_hub "chan_window_cuts");
-      hub_trace o.o_hub "chan: out %s->%d window cut to %dB (%s)" o.o_key.label o.o_dst
-        o.o_window why
+      Sim.Stats.incr (hub_counter o.o_hub "chan_window_cuts")
     end;
     o.o_cut_barrier <- o.o_next_seq - 1
   end
@@ -585,7 +603,7 @@ let rec arm_retransmit o =
               mark_broken o "retransmit limit exceeded: peer unreachable"
             else begin
               Sim.Stats.incr (hub_counter o.o_hub "chan_retransmits");
-              cut_window o ~why:"retransmit";
+              cut_window o;
               let first_seq =
                 match o.o_unacked with u :: _ -> u.u_seq | [] -> assert false
               in
@@ -721,10 +739,9 @@ let handle_ack o ~upto ~pressure =
       let congested =
         Float.is_nan !rtt_sample = false
         && o.o_rtt_ewma > 0.0
-        && !rtt_sample > o.o_cfg.rtt_inflation *. o.o_rtt_ewma
+        && !rtt_sample > rtt_inflation *. o.o_rtt_ewma
       in
-      if pressure >= 2 then cut_window o ~why:"receiver pressure"
-      else if congested then cut_window o ~why:"rtt inflation"
+      if pressure >= 2 || congested then cut_window o
       else if pressure = 0 && not !freed_retx then grow_window o;
       if Float.is_nan !rtt_sample = false then begin
         Sim.Stats.observe (Sim.Stats.summary (S.stats o.o_hub.h_sched) "chan_rtt") !rtt_sample;
@@ -828,16 +845,6 @@ let handle_acks hub acks =
       | None -> ())
     acks
 
-(* Inbound frames, decoded lazily: Data items become views, not trees.
-   The variant is internal — the public {!decode_packet} (v1, fully
-   materialised) is unchanged for tools and tests. *)
-type inbound =
-  | I_data of { key : key; first_seq : int; acks : ack_entry list; items : Xdr.View.t list }
-  | I_ack of ack_entry list
-  | I_reset of { key : key; reason : string }
-  | I_hello of int  (* peer offers its dictionary, payload = epoch *)
-  | I_welcome of int  (* peer accepted ours *)
-
 (* Receiver dictionary table for [(src, epoch)]; an epoch change swaps
    in a fresh table (views over old frames keep the old one alive). *)
 let dict_in hub src epoch =
@@ -858,41 +865,7 @@ let decode_inbound hub ~src frame =
       Ok (B.use_dict_table d (dict_in hub src epoch))
     else Error (Printf.sprintf "unsupported wire version %d" v)
   in
-  let* tag = B.read_byte d in
-  let* p =
-    match tag with
-    | 1 ->
-        let* key = decode_key d in
-        let* first_seq = B.read_uvarint d in
-        let* acks = decode_acks d in
-        let* n = B.read_uvarint d in
-        if n < 0 || n > B.remaining d then Error "item count overruns input"
-        else
-          let rec go k acc =
-            if k = 0 then Ok (List.rev acc)
-            else
-              let* item = Xdr.View.read d in
-              go (k - 1) (item :: acc)
-          in
-          let* items = go n [] in
-          Ok (I_data { key; first_seq; acks; items })
-    | 2 ->
-        let* acks = decode_acks d in
-        Ok (I_ack acks)
-    | 3 ->
-        let* key = decode_key d in
-        let* reason = B.read_raw_string d in
-        Ok (I_reset { key; reason })
-    | 4 ->
-        let* epoch = B.read_uvarint d in
-        Ok (I_hello epoch)
-    | 5 ->
-        let* epoch = B.read_uvarint d in
-        Ok (I_welcome epoch)
-    | t -> Error (Printf.sprintf "unknown packet tag %d" t)
-  in
-  let* () = B.expect_end d in
-  Ok p
+  decode_body ~read_item:Xdr.View.read d
 
 let receive hub ~src frame =
   match decode_inbound hub ~src frame with
@@ -1021,11 +994,7 @@ let connect hub ~dst ~label ~meta cfg =
     if cfg.window_min_bytes <= 0 || cfg.window_min_bytes > cfg.max_inflight_bytes then
       invalid_arg "Chanhub.connect: window_min_bytes must be in (0, max_inflight_bytes]";
     if cfg.window_increase <= 0 then
-      invalid_arg "Chanhub.connect: window_increase must be positive";
-    if cfg.window_decrease <= 0.0 || cfg.window_decrease >= 1.0 then
-      invalid_arg "Chanhub.connect: window_decrease must be in (0, 1)";
-    if cfg.rtt_inflation <= 1.0 then
-      invalid_arg "Chanhub.connect: rtt_inflation must exceed 1"
+      invalid_arg "Chanhub.connect: window_increase must be positive"
   end;
   let key = { src = hub.h_tr.Transport.addr; label; idx = hub.h_next_idx; meta } in
   hub.h_next_idx <- hub.h_next_idx + 1;
@@ -1060,8 +1029,6 @@ let connect hub ~dst ~label ~meta cfg =
   o
 
 let hub_recv_overhead h = h.h_tr.Transport.recv_overhead ()
-
-let hub_transport h = h.h_tr
 
 (* --- third-party handoff (docs/HANDOFF.md) ------------------------ *)
 
@@ -1106,7 +1073,7 @@ let handoff_listen hub =
               (fun vw ->
                 match Result.bind (Xdr.View.materialize vw) Wire.parse_handoff_push with
                 | Ok push -> handle_push hub push
-                | Error e -> hub_trace hub "handoff: malformed push dropped: %s" e)
+                | Error _ -> Sim.Stats.incr (hub_counter hub "handoff_malformed_pushes"))
               items))
   end
 

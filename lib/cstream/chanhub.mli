@@ -74,10 +74,6 @@ val encode_packet : packet -> frame
 val decode_packet : frame -> (packet, string) result
 (** Total: malformed frames yield [Error], never an exception. *)
 
-val packet_bytes : packet -> int
-(** Actual encoded size of the packet in bytes
-    ([String.length (encode_packet p)]). *)
-
 type config = {
   max_batch : int;  (** flush after this many buffered items *)
   max_batch_bytes : int;  (** … or this many buffered encoded bytes *)
@@ -97,15 +93,11 @@ type config = {
   adaptive_window : bool;
       (** AIMD flow control (docs/OVERLOAD.md): the live window starts
           at [window_min_bytes], grows by [window_increase] bytes per
-          clean ack round, and is cut multiplicatively on retransmit,
-          ack-RTT inflation, or receiver pressure — at most once per
-          outstanding flight. *)
+          clean ack round, and is halved on retransmit, on an ack RTT
+          above twice the RTT EWMA, or on receiver pressure — at most
+          once per outstanding flight. *)
   window_min_bytes : int;  (** adaptive window floor (and start value) *)
   window_increase : int;  (** additive increase per clean ack, bytes *)
-  window_decrease : float;  (** multiplicative cut factor, in (0, 1) *)
-  rtt_inflation : float;
-      (** an ack RTT above [rtt_inflation *. rtt_ewma] counts as
-          congestion; must exceed 1 *)
 }
 
 val default_config : config
@@ -178,8 +170,7 @@ val hub_sched : hub -> Sched.Scheduler.t
     [chan_standalone_acks], [chan_decode_errors],
     [chan_window_cuts], [chan_dict_hellos], [chan_dict_negotiated],
     [chan_dict_defines], [chan_dict_refs] — plus the [chan_rtt]
-    summary of clean ack RTT samples — and break events in its
-    {!Sim.Trace}. *)
+    summary of clean ack RTT samples. *)
 
 val on_connect : hub -> label:string -> (in_chan -> unit) -> unit
 (** Register the acceptor for inbound channels labelled [label]. The
@@ -247,9 +238,6 @@ val break_out : out_chan -> reason:string -> unit
 (** Break locally (e.g. stream restart): pending items are dropped and
     a [Reset] is pushed to the receiver so it discards state. *)
 
-val unacked_count : out_chan -> int
-(** Items sent but not yet acknowledged plus items still buffered. *)
-
 (** {1 Receiving end} *)
 
 val set_deliver : in_chan -> (Xdr.View.t list -> unit) -> unit
@@ -276,8 +264,6 @@ val break_in : in_chan -> reason:string -> unit
 (** Receiver-initiated break: discard further data and tell the sender
     (it observes the reason via {!on_out_break}). *)
 
-val in_broken : in_chan -> string option
-
 val on_in_break : in_chan -> (string -> unit) -> unit
 (** Register a callback fired when this receiving end is broken — by
     {!break_in} locally or by a [Reset] from the sender (e.g. a stream
@@ -294,7 +280,9 @@ val on_in_break : in_chan -> (string -> unit) -> unit
     replayed after a crash joins the first copy instead of
     re-resolving. Counters: [handoff_forwards] (outcomes pushed),
     [handoff_streams_opened] (push channels dialled),
-    [handoff_dedup_joins] (replayed pushes absorbed). *)
+    [handoff_dedup_joins] (replayed pushes absorbed),
+    [handoff_malformed_pushes] (items on a push channel that are not a
+    well-formed push, dropped). *)
 
 val handoff_epoch : hub -> int
 (** This hub's handoff protocol epoch, stamped into every handoff
@@ -329,6 +317,3 @@ val hub_recv_overhead : hub -> float
     current {!Net.config}'s [kernel_overhead] (the fault layer mutates
     it mid-run), a real backend reports [0.] because its costs are
     already wall-clock. *)
-
-val hub_transport : hub -> Transport.t
-(** The transport endpoint this hub multiplexes. *)

@@ -22,8 +22,8 @@
     original call-ids — on the next incarnation, letting a deduplicating
     receiver execute each call exactly once across incarnations.
     Stream-level events are counted in the scheduler's {!Sim.Stats}
-    ([stream_breaks], [stream_restarts], [stream_resubmitted_calls])
-    and recorded in its {!Sim.Trace}. *)
+    ([stream_breaks], [stream_restarts], [stream_resubmitted_calls]);
+    breaks and resubmissions are also {!Sim.Span} edges. *)
 
 type t
 

@@ -187,10 +187,6 @@ let item_trace = function
       match List.assoc_opt "t" fields with Some (Xdr.Int tid) -> Some tid | _ -> None)
   | _ -> None
 
-let item_resubmit = function
-  | Xdr.Record fields -> List.assoc_opt "r" fields <> None
-  | _ -> false
-
 (* --- lazy (view-based) parsing ------------------------------------ *)
 
 (* The zero-copy receive path (docs/WIRE.md §Lazy views): envelope

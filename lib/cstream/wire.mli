@@ -125,10 +125,6 @@ val item_trace : Xdr.value -> int option
     arbitrary values — the channel layer applies it to every item it
     transmits, delivers or acknowledges (docs/TRACING.md). *)
 
-val item_resubmit : Xdr.value -> bool
-(** Whether a call item carries the resubmit marker. Total over
-    arbitrary values; [false] for replies and malformed items. *)
-
 (** {1 Lazy (view-based) parsing}
 
     The zero-copy receive path (docs/WIRE.md §Lazy views): the same

@@ -61,10 +61,7 @@ let create net ~nodes =
 
 let counter t name = Sim.Stats.counter (S.stats t.f_sched) name
 
-let trace t fmt = Sim.Trace.recordf (S.trace t.f_sched) ~time:(S.now t.f_sched) fmt
-
 let apply t action =
-  trace t "fault: %a" pp_action action;
   match action with
   | Crash name ->
       Sim.Stats.incr (counter t "fault_crashes");
@@ -85,7 +82,6 @@ let apply t action =
           baseline := cfg.Net.loss_rate;
           { cfg with Net.loss_rate = rate });
       S.after t.f_sched duration (fun () ->
-          trace t "fault: loss-burst over, restore %.3f" !baseline;
           t.f_update_config (fun cfg -> { cfg with Net.loss_rate = !baseline }))
   | Jitter_burst { jitter; duration } ->
       Sim.Stats.incr (counter t "fault_jitter_bursts");
@@ -94,7 +90,6 @@ let apply t action =
           baseline := cfg.Net.jitter;
           { cfg with Net.jitter });
       S.after t.f_sched duration (fun () ->
-          trace t "fault: jitter-burst over, restore %.4f" !baseline;
           t.f_update_config (fun cfg -> { cfg with Net.jitter = !baseline }))
 
 let schedule t scenario =

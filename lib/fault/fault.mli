@@ -10,8 +10,7 @@
 
     Applied actions are counted in the scheduler's {!Sim.Stats}
     ([fault_crashes], [fault_recoveries], [fault_partitions],
-    [fault_heals], [fault_loss_bursts], [fault_jitter_bursts]) and each
-    is recorded in its {!Sim.Trace}.
+    [fault_heals], [fault_loss_bursts], [fault_jitter_bursts]).
 
     Used by the chaos experiment (E7) and the supervision tests; see
     [docs/FAULTS.md]. *)

@@ -132,7 +132,7 @@ let e12 ?(n = 400) () =
       [
         "paper claim (§2): buffering many calls into one message amortises per-message costs; \
          protocol traffic (acks) piggybacks on traffic flowing the other way";
-        "bytes are actual encoded sizes (Xdr.Bin, docs/WIRE.md), not the wire_size estimate; \
+        "bytes are actual encoded sizes (Xdr.Bin, docs/WIRE.md); \
          'acks ridden' is the share of acks that travelled inside reverse-direction Data \
          packets ('piggy acks') instead of standalone Ack packets ('solo acks'); 'decode \
          errs' counts frames a receiver could not decode (0 on a clean run — the \

@@ -5,10 +5,9 @@
     argument into an external representation and the receiver {e
     decodes} it, possibly with user-provided code that may fail. This
     module provides the external value model, typed codecs built from
-    combinators, a deterministic byte-size model (used by the network
-    cost model), and hooks to inject encode/decode failures (the paper
-    maps them to the [failure] exception and a receiver-side stream
-    break).
+    combinators, the binary wire codec with its lazy views, and hooks
+    to inject encode/decode failures (the paper maps them to the
+    [failure] exception and a receiver-side stream break).
 
     The wire itself is untyped ([value]); static typing is recovered at
     the language boundary by pairing each port with codecs — this is
@@ -37,11 +36,6 @@ type value =
   | Pref of promise_ref
       (** reference to a not-yet-claimed result of an earlier call; the
           receiver substitutes the produced value before executing *)
-
-val wire_size : value -> int
-(** Deterministic size in bytes of the encoded form. Ints and reals
-    cost 8 bytes, bools 1, strings [4 + length], containers add small
-    headers. Used to charge transmission costs in the simulator. *)
 
 val pp_value : Format.formatter -> value -> unit
 
@@ -120,20 +114,14 @@ val failing_encode : ?reason:string -> every:int -> 'a codec -> 'a codec
 
 val failing_decode : ?reason:string -> every:int -> 'a codec -> 'a codec
 
-(** {1 Sizing} *)
-
-val encoded_size : 'a codec -> 'a -> int
-(** [encoded_size c v] is the wire size of [v]'s encoding, or 0 when
-    encoding fails. *)
-
 (** {1 Binary wire codec}
 
     Compact binary serialization of {!value}: single-byte tags,
     varint-encoded ints and lengths, and a per-encoder interned string
     table so repeated record-field names and port names cost a one-byte
-    reference after first use. See docs/WIRE.md for the format. Unlike
-    {!wire_size} (the symbolic cost model, kept for backward-compatible
-    experiments), [Bin.size] is the byte count actually shipped. *)
+    reference after first use. See docs/WIRE.md for the format.
+    [Bin.size] is the byte count actually shipped; every byte count in
+    the program comes from it. *)
 module Bin : sig
   val version : int
   (** Format version stamped as the first byte of every packet frame. *)

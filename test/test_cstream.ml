@@ -103,9 +103,9 @@ let test_wire_send_ok_parses_as_normal_unit () =
 
 let test_wire_send_ok_is_small () =
   let full =
-    Xdr.wire_size (W.reply_item ~seq:0 ~trace:None (W.W_normal (Xdr.Str (String.make 100 'x'))))
+    Xdr.Bin.size (W.reply_item ~seq:0 ~trace:None (W.W_normal (Xdr.Str (String.make 100 'x'))))
   in
-  let compact = Xdr.wire_size (W.send_ok_item ~seq:0 ~trace:None) in
+  let compact = Xdr.Bin.size (W.send_ok_item ~seq:0 ~trace:None) in
   check Alcotest.bool "compact reply much smaller" true (compact * 5 < full)
 
 let test_wire_malformed_rejected () =

@@ -286,6 +286,23 @@ let test_e19_invariants () =
         check Alcotest.int (r.r_mode ^ "/" ^ r.r_backend ^ ": no fallback") 0 r.r_fallbacks))
     rows
 
+(* An item on the push channel that is not a well-formed push is
+   outside input: it is counted and dropped, and the channel keeps
+   delivering the pushes that follow it. *)
+let test_malformed_push_counted () =
+  let w = make_world () in
+  let got = ref None in
+  CH.handoff_expect w.c_hub ~stream:"s" ~call:1 (fun ov -> got := Some ov);
+  let o =
+    CH.connect w.a_hub ~dst:(Net.address w.c_node) ~label:"~handoff" ~meta:"" CH.rpc_config
+  in
+  let send item = match CH.send o item with Ok () -> () | Error e -> Alcotest.fail e in
+  send (Xdr.Int 7);
+  send (Cstream.Wire.handoff_push_item ~stream:"s" ~call:1 (Xdr.Str "v"));
+  run_ok w.sched;
+  check Alcotest.int "malformed push counted" 1 (peek w.sched "handoff_malformed_pushes");
+  check Alcotest.bool "valid push still delivered" true (!got = Some (Xdr.Str "v"))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -305,6 +322,8 @@ let () =
             test_resubmit_exactly_once;
           Alcotest.test_case "old epoch refused, falls back to proxy" `Quick
             test_epoch_refusal_falls_back;
+          Alcotest.test_case "malformed push counted, later push delivered" `Quick
+            test_malformed_push_counted;
         ] );
       ( "experiment",
         [ Alcotest.test_case "E19 acceptance invariants" `Quick test_e19_invariants ] );

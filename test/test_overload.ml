@@ -142,7 +142,7 @@ let test_window_cuts_under_delay () =
   G.register_group w.server ~group:"g" ~config:GC.default ();
   G.register w.server ~group:"g" inc_sig (fun _ n -> Ok (n + 1));
   (* A 20 ms jitter burst on a ~2 ms RTT link: ack RTT samples inflate
-     far past [rtt_inflation] x ewma and the controller must cut even
+     far past twice the ewma and the controller must cut even
      though nothing was lost or retransmitted. *)
   Fault.schedule w.fault
     [ { Fault.at = 30e-3; action = Fault.Jitter_burst { jitter = 20e-3; duration = 60e-3 } } ];

@@ -610,22 +610,26 @@ let test_semaphore_models_parallel_speedup () =
   check (Alcotest.float 1e-9) "2 cpus" 2.0 (elapsed 2);
   check (Alcotest.float 1e-9) "4 cpus" 1.0 (elapsed 4)
 
-let test_trace_records_lifecycle () =
+(* A fiber's lifecycle is observable without a log: its name and id
+   from inside the body, and its end (result and virtual time) through
+   [on_exit]. *)
+let test_lifecycle_visible () =
   let t = S.create () in
-  Sim.Trace.enable (S.trace t) true;
-  ignore (S.spawn t ~name:"traced" (fun () -> S.sleep t 1.0));
-  run_ok t;
-  let records = List.map snd (Sim.Trace.to_list (S.trace t)) in
-  let has needle =
-    List.exists
-      (fun r ->
-        let nr = String.length r and nn = String.length needle in
-        let rec scan i = i + nn <= nr && (String.sub r i nn = needle || scan (i + 1)) in
-        scan 0)
-      records
+  let seen_name = ref "" and exits = ref [] in
+  let f =
+    S.spawn t ~name:"traced"
+      ~on_exit:(fun r -> exits := (r, S.now t) :: !exits)
+      (fun () ->
+        (match S.current t with Some me -> seen_name := S.fiber_name me | None -> ());
+        S.sleep t 1.0)
   in
-  check Alcotest.bool "spawn traced" true (has "spawn");
-  check Alcotest.bool "finish traced" true (has "finished")
+  let g = S.spawn t (fun () -> ()) in
+  check Alcotest.bool "distinct ids" true (S.fiber_id f <> S.fiber_id g);
+  check Alcotest.bool "live before run" true (S.alive f && S.fiber_result f = None);
+  run_ok t;
+  check Alcotest.string "current fiber is the spawned one" "traced" !seen_name;
+  check Alcotest.bool "finished once, at t = 1" true (!exits = [ (S.Finished, 1.0) ]);
+  check Alcotest.bool "not alive after" false (S.alive f)
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -723,7 +727,7 @@ let suite =
         Alcotest.test_case "past events clamped" `Quick test_at_past_clamped;
         Alcotest.test_case "run until" `Quick test_run_until;
         Alcotest.test_case "simultaneous events FIFO" `Quick test_simultaneous_events_fifo;
-        Alcotest.test_case "trace records lifecycle" `Quick test_trace_records_lifecycle;
+        Alcotest.test_case "lifecycle visible without a log" `Quick test_lifecycle_visible;
         QCheck_alcotest.to_alcotest prop_sleep_sum;
         QCheck_alcotest.to_alcotest prop_random_fiber_programs_complete;
       ] );

@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: heap, rng, stats, trace. *)
+(* Tests for the simulation substrate: heap, rng, stats, span store. *)
 
 let check = Alcotest.check
 
@@ -206,35 +206,56 @@ let prop_quantile_monotone =
       && Sim.Stats.quantile s 0.5 <= Sim.Stats.quantile s 0.9)
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
+(* Span store: the one event log (counters cover the rest) *)
 
-let test_trace_disabled_by_default () =
-  let tr = Sim.Trace.create () in
-  Sim.Trace.record tr ~time:1.0 "hidden";
-  check Alcotest.int "no records" 0 (List.length (Sim.Trace.to_list tr))
+let span_kinds sp = List.map (fun (e : Sim.Span.event) -> e.ev_kind) (Sim.Span.events sp)
 
-let test_trace_records_in_order () =
-  let tr = Sim.Trace.create () in
-  Sim.Trace.enable tr true;
-  Sim.Trace.record tr ~time:1.0 "a";
-  Sim.Trace.recordf tr ~time:2.0 "b %d" 42;
-  check
-    Alcotest.(list (pair (float 0.0) string))
-    "ordered" [ (1.0, "a"); (2.0, "b 42") ] (Sim.Trace.to_list tr)
+let test_span_disabled_by_default () =
+  let sp = Sim.Span.create () in
+  check Alcotest.bool "off" false (Sim.Span.enabled sp);
+  let tid = Sim.Span.next_trace sp in
+  Sim.Span.record sp ~time:1.0 ~kind:Sim.Span.Issue ~trace:tid ();
+  check Alcotest.int "no events" 0 (List.length (Sim.Span.events sp));
+  check Alcotest.int "ids still allocated" (tid + 1) (Sim.Span.next_trace sp)
 
-let test_trace_ring_wraps () =
-  let tr = Sim.Trace.create ~capacity:3 () in
-  Sim.Trace.enable tr true;
-  List.iter (fun i -> Sim.Trace.record tr ~time:(float_of_int i) (string_of_int i)) [ 1; 2; 3; 4; 5 ];
-  let msgs = List.map snd (Sim.Trace.to_list tr) in
-  check Alcotest.(list string) "last 3 kept" [ "3"; "4"; "5" ] msgs
+let test_span_records_in_order () =
+  let sp = Sim.Span.create () in
+  Sim.Span.enable sp true;
+  Sim.Span.record sp ~time:1.0 ~kind:Sim.Span.Break ~trace:4 ();
+  Sim.Span.record sp ~time:2.0 ~kind:Sim.Span.Resubmit ~trace:4 ~node:2 ~stream:"s" ~call:9
+    ~note:"epoch 1" ();
+  check Alcotest.bool "oldest first" true (span_kinds sp = [ Sim.Span.Break; Sim.Span.Resubmit ]);
+  match Sim.Span.events sp with
+  | [ a; b ] ->
+      check Alcotest.(float 0.0) "time" 1.0 a.ev_time;
+      check Alcotest.int "default node" (-1) a.ev_node;
+      check Alcotest.string "default stream" "" a.ev_stream;
+      check Alcotest.int "default call" (-1) a.ev_call;
+      check Alcotest.string "default note" "" a.ev_note;
+      check Alcotest.(pair int int) "node, call" (2, 9) (b.ev_node, b.ev_call);
+      check Alcotest.(pair string string) "stream, note" ("s", "epoch 1") (b.ev_stream, b.ev_note);
+      check Alcotest.bool "has" true (Sim.Span.has sp ~trace:4 Sim.Span.Resubmit)
+  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
 
-let test_trace_clear () =
-  let tr = Sim.Trace.create () in
-  Sim.Trace.enable tr true;
-  Sim.Trace.record tr ~time:0.0 "x";
-  Sim.Trace.clear tr;
-  check Alcotest.int "cleared" 0 (List.length (Sim.Trace.to_list tr))
+let test_span_ring_wraps () =
+  let sp = Sim.Span.create ~capacity:3 () in
+  Sim.Span.enable sp true;
+  List.iter
+    (fun i -> Sim.Span.record sp ~time:(float_of_int i) ~kind:Sim.Span.Issue ~trace:i ())
+    [ 1; 2; 3; 4; 5 ];
+  check Alcotest.(list int) "last 3 kept" [ 3; 4; 5 ] (Sim.Span.trace_ids sp)
+
+let test_span_clear () =
+  let sp = Sim.Span.create () in
+  Sim.Span.enable sp true;
+  let t0 = Sim.Span.next_trace sp in
+  Sim.Span.record sp ~time:0.0 ~kind:Sim.Span.Issue ~trace:t0 ();
+  Sim.Span.clear sp;
+  check Alcotest.int "cleared" 0 (List.length (Sim.Span.events sp));
+  let t1 = Sim.Span.next_trace sp in
+  check Alcotest.bool "trace ids not reset" true (t1 > t0);
+  Sim.Span.record sp ~time:1.0 ~kind:Sim.Span.Claim ~trace:t1 ();
+  check Alcotest.(list int) "records again" [ t1 ] (Sim.Span.trace_ids sp)
 
 let suite =
   [
@@ -269,12 +290,12 @@ let suite =
         Alcotest.test_case "listing sorted" `Quick test_stats_listing;
         QCheck_alcotest.to_alcotest prop_quantile_monotone;
       ] );
-    ( "trace",
+    ( "span",
       [
-        Alcotest.test_case "disabled by default" `Quick test_trace_disabled_by_default;
-        Alcotest.test_case "records in order" `Quick test_trace_records_in_order;
-        Alcotest.test_case "ring wraps" `Quick test_trace_ring_wraps;
-        Alcotest.test_case "clear" `Quick test_trace_clear;
+        Alcotest.test_case "disabled by default" `Quick test_span_disabled_by_default;
+        Alcotest.test_case "records in order" `Quick test_span_records_in_order;
+        Alcotest.test_case "ring wraps" `Quick test_span_ring_wraps;
+        Alcotest.test_case "clear" `Quick test_span_clear;
       ] );
   ]
 

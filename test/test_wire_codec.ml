@@ -271,12 +271,6 @@ let test_packet_roundtrips () =
       | Error e -> Alcotest.failf "packet decode failed: %s" e)
     packets
 
-let test_packet_bytes_is_actual_size () =
-  let p = CH.Ack { acks = [ ack sample_key 12 ] } in
-  check Alcotest.int "packet_bytes = encoded length"
-    (String.length (CH.encode_packet p))
-    (CH.packet_bytes p)
-
 let test_packet_garbage_rejected () =
   (match CH.decode_packet "" with Error _ -> () | Ok _ -> Alcotest.fail "empty frame accepted");
   (match CH.decode_packet "\x02\x01" with
@@ -288,6 +282,27 @@ let test_packet_garbage_rejected () =
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "truncated frame (%d bytes) accepted" len
   done
+
+(* [decode_packet] shares its frame grammar with the live receive path,
+   which also accepts the dictionary hello (tag 4) and welcome (tag 5)
+   control frames. Those are not packets: whole or truncated, they are
+   errors here, as is any byte after a complete packet. *)
+let test_packet_control_and_trailing_rejected () =
+  List.iter
+    (fun (what, frame) ->
+      for len = 0 to String.length frame do
+        match CH.decode_packet (String.sub frame 0 len) with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "%s (%d bytes) accepted" what len
+      done)
+    [ ("dict hello", "\x01\x04\x07"); ("dict welcome", "\x01\x05\x07") ];
+  let enc = CH.encode_packet (CH.Ack { acks = [ ack sample_key 12 ] }) in
+  (match CH.decode_packet enc with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "valid frame rejected: %s" e);
+  match CH.decode_packet (enc ^ "\x00") with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "trailing byte accepted"
 
 (* ------------------------------------------------------------------ *)
 (* Behaviour: piggybacking, Nagle flush, sliding window *)
@@ -824,8 +839,9 @@ let () =
       ( "packet frames",
         [
           Alcotest.test_case "packet roundtrips" `Quick test_packet_roundtrips;
-          Alcotest.test_case "packet_bytes is actual size" `Quick test_packet_bytes_is_actual_size;
           Alcotest.test_case "garbage frames rejected" `Quick test_packet_garbage_rejected;
+          Alcotest.test_case "control frames and trailing bytes rejected" `Quick
+            test_packet_control_and_trailing_rejected;
         ] );
       ( "adaptive wire",
         [

@@ -59,19 +59,35 @@ let test_type_errors_reported () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "heterogeneous list accepted"
 
-let test_wire_size_model () =
-  check Alcotest.int "int" 8 (Xdr.wire_size (Xdr.Int 1));
-  check Alcotest.int "bool" 1 (Xdr.wire_size (Xdr.Bool true));
-  check Alcotest.int "string" (4 + 5) (Xdr.wire_size (Xdr.Str "hello"));
-  check Alcotest.bool "list adds header" true
-    (Xdr.wire_size (Xdr.List [ Xdr.Int 1; Xdr.Int 2 ]) = 4 + 16);
+(* [Xdr.Bin.size] is the byte count every cost in the program uses
+   (window accounting, batching, the experiment tables): pin its model
+   on fixed values so a format change shows here, not only as a drift
+   in the goldens. *)
+let test_bin_size_model () =
+  let size = Xdr.Bin.size in
+  check Alcotest.int "unit" 1 (size Xdr.Unit);
+  check Alcotest.int "bool" 1 (size (Xdr.Bool true));
+  check Alcotest.int "small int" 2 (size (Xdr.Int 1));
+  check Alcotest.int "negative int" 2 (size (Xdr.Int (-1)));
+  check Alcotest.int "int past one varint byte" 3 (size (Xdr.Int 64));
+  check Alcotest.int "real" 9 (size (Xdr.Real 1.5));
+  check Alcotest.int "short string, inline first use" (1 + 1 + 1 + 5) (size (Xdr.Str "hello"));
+  check Alcotest.int "long string, never interned" (1 + 1 + 100)
+    (size (Xdr.Str (String.make 100 'x')));
+  check Alcotest.int "list adds header" (1 + 1 + 2 + 2) (size (Xdr.List [ Xdr.Int 1; Xdr.Int 2 ]));
   check Alcotest.bool "bigger strings cost more" true
-    (Xdr.wire_size (Xdr.Str (String.make 100 'x')) > Xdr.wire_size (Xdr.Str "x"))
+    (size (Xdr.Str (String.make 60 'x')) > size (Xdr.Str "x"))
 
-let test_encoded_size () =
-  check Alcotest.int "via codec" 8 (Xdr.encoded_size Xdr.int 7);
-  let failing = Xdr.failing_encode ~every:1 Xdr.int in
-  check Alcotest.int "failure sizes to 0" 0 (Xdr.encoded_size failing 7)
+(* The sizer is pooled: a string interned while sizing one value must
+   not make the same string look like a back-reference in the next. *)
+let test_bin_size_fresh_intern_table () =
+  let v = Xdr.Record [ ("port", Xdr.Str "record_grade"); ("who", Xdr.Str "stu00001") ] in
+  let first = Xdr.Bin.size v in
+  check Alcotest.int "same value, same size" first (Xdr.Bin.size v);
+  check Alcotest.int "equals encoded length" (String.length (Xdr.Bin.to_string v)) first;
+  let twice = Xdr.Bin.size (Xdr.List [ v; v ]) in
+  check Alcotest.bool "repeat inside one value is cheaper" true (twice < 1 + 1 + (2 * first));
+  check Alcotest.int "table reset after the batch" first (Xdr.Bin.size v)
 
 let test_failing_encode_every () =
   let c = Xdr.failing_encode ~every:3 Xdr.int in
@@ -105,13 +121,13 @@ let prop_nested_roundtrip =
       let codec = Xdr.(list (pair int (list string))) in
       roundtrip codec v = v)
 
-let prop_wire_size_positive =
-  QCheck.Test.make ~name:"wire size is positive and monotone in list length" ~count:200
+let prop_bin_size_positive =
+  QCheck.Test.make ~name:"Bin size is positive and monotone in list length" ~count:200
     QCheck.(list small_int)
     (fun xs ->
       let enc xs = match Xdr.encode Xdr.(list int) xs with Ok v -> v | Error _ -> Xdr.Unit in
-      let s = Xdr.wire_size (enc xs) in
-      s > 0 && Xdr.wire_size (enc (0 :: xs)) > s)
+      let s = Xdr.Bin.size (enc xs) in
+      s > 0 && Xdr.Bin.size (enc (0 :: xs)) > s)
 
 let suite =
   [
@@ -128,9 +144,10 @@ let suite =
       ] );
     ( "sizing",
       [
-        Alcotest.test_case "wire size model" `Quick test_wire_size_model;
-        Alcotest.test_case "encoded_size" `Quick test_encoded_size;
-        QCheck_alcotest.to_alcotest prop_wire_size_positive;
+        Alcotest.test_case "Bin size model" `Quick test_bin_size_model;
+        Alcotest.test_case "Bin size intern table is per value" `Quick
+          test_bin_size_fresh_intern_table;
+        QCheck_alcotest.to_alcotest prop_bin_size_positive;
       ] );
     ( "failure-injection",
       [
