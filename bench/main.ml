@@ -547,8 +547,9 @@ let run_pipeline () =
 (* --- shard bench + BENCH_shard.json --------------------------------- *)
 
 (* The receiver-side costs of sharded dispatch (docs/SHARDING.md): the
-   partition hash every arriving call pays, and the byte-sized registry
-   record path that sharded groups share. The scaling story itself is
+   partition hash every arriving call pays, and the registry record
+   path that sharded groups share (a count-capped registry, as every
+   guardian creates). The scaling story itself is
    E14 (simulated time, deterministic); its rows ride along in the JSON
    so the perf trajectory of the tentpole is machine-readable. *)
 
@@ -569,12 +570,8 @@ let large_call_args =
 let bench_shard_key v =
   Staged.stage (fun () -> T.default_shard_key ~port:"shard_work" v)
 
-let bench_registry_record_sized () =
-  let reg : W.routcome Pipeline.Registry.t =
-    Pipeline.Registry.create ~cap:1024 ~max_bytes:(1 lsl 20)
-      ~bytes_of:(fun o -> Xdr.Bin.size (W.outcome_value o))
-      ()
-  in
+let bench_registry_record () =
+  let reg : W.routcome Pipeline.Registry.t = Pipeline.Registry.create ~cap:1024 () in
   let outcome = W.W_normal large_call_args in
   let next = ref 0 in
   Staged.stage (fun () ->
@@ -588,7 +585,7 @@ let shard_tests =
       Test.make ~name:"shard key (int pair)" (bench_shard_key small_call_args);
       Test.make ~name:"shard key (string key, record payload)"
         (bench_shard_key large_call_args);
-      Test.make ~name:"registry record+find (byte-sized)" (bench_registry_record_sized ());
+      Test.make ~name:"registry record+find" (bench_registry_record ());
     ]
 
 let write_bench_shard_json ~subject_rows ~e14_rows path =
@@ -633,7 +630,7 @@ let run_shard () =
     ~header:[ "subject"; "time/op" ]
     ~notes:
       [
-        "per-call cost of the partition hash plus the byte-sized registry record path \
+        "per-call cost of the partition hash plus the registry record path \
          (docs/SHARDING.md); results + E14 scaling figures written to BENCH_shard.json";
       ]
     table_rows

@@ -266,6 +266,8 @@ type out_chan = {
       (* heap handle for the armed timer: cancelled eagerly on disarm so
          a realtime run never waits out a timer that can only no-op *)
   o_waiters : unit S.waker Queue.t;  (* fibers parked in await_window *)
+  mutable o_priced : Xdr.value;  (* last item [await_window] admitted ... *)
+  mutable o_price : int;  (* ... and its encoded size: always [B.size o_priced] *)
 }
 
 and in_chan = {
@@ -334,8 +336,6 @@ and frame_counters = {
 let hub_addr h = h.h_tr.Transport.addr
 
 let hub_sched h = h.h_sched
-
-let out_key o = o.o_key
 
 let out_broken o = o.o_broken
 
@@ -665,17 +665,28 @@ let flush_out o =
 let window_admits o bytes =
   inflight_bytes o = 0 || inflight_bytes o + bytes <= o.o_window
 
-let await_window o ~bytes =
+(* [await_window] prices the item it admits and leaves the price in a
+   one-entry cache for the [send] that follows. Items are immutable, so
+   physical identity is enough to reuse it; an item rebuilt meanwhile
+   (Stream_end's seq race) or sent without a window check is a
+   different value and is priced afresh. *)
+let await_window o item =
   match o.o_broken with
   | Some reason -> Error reason
   | None ->
-      if window_admits o bytes || S.current o.o_hub.h_sched = None then Ok ()
+      let bytes = B.size item in
+      let admitted () =
+        o.o_priced <- item;
+        o.o_price <- bytes;
+        Ok ()
+      in
+      if window_admits o bytes || S.current o.o_hub.h_sched = None then admitted ()
       else begin
         let rec wait () =
           S.suspend o.o_hub.h_sched (fun w -> Queue.add w o.o_waiters);
           match o.o_broken with
           | Some reason -> Error reason
-          | None -> if window_admits o bytes then Ok () else wait ()
+          | None -> if window_admits o bytes then admitted () else wait ()
         in
         wait ()
       end
@@ -684,7 +695,7 @@ let send o item =
   match o.o_broken with
   | Some reason -> Error reason
   | None ->
-      let size = B.size item in
+      let size = if o.o_priced == item then o.o_price else B.size item in
       o.o_buf <- (item, size) :: o.o_buf;
       o.o_buf_len <- o.o_buf_len + 1;
       o.o_buf_bytes <- o.o_buf_bytes + size;
@@ -1023,6 +1034,8 @@ let connect hub ~dst ~label ~meta cfg =
       o_retx_armed = false;
       o_retx_timer = None;
       o_waiters = Queue.create ();
+      o_priced = Xdr.Unit;
+      o_price = B.size Xdr.Unit;
     }
   in
   Hashtbl.replace hub.h_outs key o;

@@ -192,15 +192,21 @@ val send : out_chan -> Xdr.value -> (unit, string) result
     normal condition under churn, not a programming error, so it is
     reported as a value rather than an exception. [send] itself never
     blocks; callers that want window back-pressure call
-    {!await_window} first. *)
+    {!await_window} first. The item is charged to the window at its
+    v1 encoded size ({!Xdr.Bin.size}); if it is physically the item
+    the last {!await_window} admitted, that price is reused rather
+    than computed again. *)
 
-val await_window : out_chan -> bytes:int -> (unit, string) result
-(** Block the calling fiber until the channel can admit [bytes] more
-    encoded bytes under [max_inflight_bytes] (buffered + unacked), or
-    the channel breaks ([Error reason] — whatever was in flight is
-    void anyway). Returns immediately outside fiber context. Callers
-    must invoke this {e before} claiming a sequence number: blocking
-    after would let a later call overtake on the channel. *)
+val await_window : out_chan -> Xdr.value -> (unit, string) result
+(** Price [item] once and block the calling fiber until the channel can
+    admit that many more encoded bytes under [max_inflight_bytes]
+    (buffered + unacked), or the channel breaks ([Error reason] —
+    whatever was in flight is void anyway). Returns immediately outside
+    fiber context. Callers must invoke this {e before} claiming a
+    sequence number: blocking after would let a later call overtake on
+    the channel. Pass the very item you will {!send} so the send reuses
+    the price; a different value (say, one rebuilt with a later seq)
+    is priced again by {!send}. *)
 
 val inflight_bytes : out_chan -> int
 (** Encoded bytes currently buffered plus sent-but-unacked. *)
@@ -224,8 +230,6 @@ val on_ack : out_chan -> (int -> unit) -> unit
 
 val flush_out : out_chan -> unit
 (** Transmit everything buffered now. *)
-
-val out_key : out_chan -> key
 
 val out_broken : out_chan -> string option
 (** Reason the channel broke, if it did. *)

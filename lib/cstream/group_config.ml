@@ -37,15 +37,11 @@ let with_shards ?key shards t =
   if shards <= 0 then invalid_arg "Group_config.with_shards: shards must be positive";
   { t with shards; shard_key = (match key with Some _ -> key | None -> t.shard_key) }
 
-let with_pipeline reg t = { t with pipeline = Some reg }
-
 let with_shed hwm t =
   if hwm <= 0 then invalid_arg "Group_config.with_shed: high-water mark must be positive";
   { t with shed_hwm = Some hwm }
 
 let with_offload pool t = { t with offload = Some pool }
-
-let without_offload t = { t with offload = None }
 
 (* Whole-config equality, used by {!Guardian.get_group} to detect a
    conflicting re-registration. The functional/abstract fields

@@ -77,8 +77,6 @@ val with_shards : ?key:shard_key -> int -> t -> t
     replaces the partition function, otherwise any previously set key
     is kept. *)
 
-val with_pipeline : Wire.routcome Pipeline.Registry.t -> t -> t
-
 val with_shed : int -> t -> t
 (** Enable load-shedding at the given per-lane queue depth (raises
     [Invalid_argument] on [<= 0]). Pick it relative to the lane's
@@ -89,8 +87,6 @@ val with_offload : Sched.Pool.t -> t -> t
 (** Execute this group's handler bodies on the pool's worker domains
     (docs/DOMAINS.md). Combine with {!with_shards}: each lane offloads
     its current call and lanes overlap on real cores. *)
-
-val without_offload : t -> t
 
 val equal : t -> t -> bool
 (** Structural on the plain fields; {e physical} on [shard_key],

@@ -204,16 +204,17 @@ let call ?(handoff = []) ?(elide = false) t ~port ~kind ~args ~on_reply =
       let wire_trace = if Sim.Span.sampled (spans t) tid then Some tid else None in
       (* Reserve window space BEFORE claiming a sequence number: a fiber
          that blocked after taking its seq would let later calls enter
-         the channel first and violate in-call-order delivery. The size
-         probe uses the current seq; if another fiber wins the race
-         while we are parked, the item is rebuilt below (the varint seq
-         may change its length by a byte or two). *)
+         the channel first and violate in-call-order delivery. The
+         window is asked for the item built with the current seq; if
+         another fiber wins the race while we are parked, the item is
+         rebuilt below (the varint seq may change its length by a byte
+         or two) and [Chanhub.send] prices the rebuilt item afresh. *)
       let probe_seq = t.next_seq and probe_cid = t.next_cid in
       let probe =
         Wire.call_item ~handoff ~elide ~seq:probe_seq ~cid:probe_cid ~trace:wire_trace ~port
           ~kind ~args ()
       in
-      match Chanhub.await_window t.chan ~bytes:(Xdr.Bin.size probe) with
+      match Chanhub.await_window t.chan probe with
       | Error reason -> Error reason
       | Ok () ->
       match t.s_broken with

@@ -112,8 +112,6 @@ let shard_of t ~port args =
 
 let conn_src c = Chanhub.in_src c.c_in
 
-let conn_count t = Hashtbl.length t.conns
-
 let counter t name = Sim.Stats.counter (S.stats t.sched) name
 
 (* Receiver-side span emission (docs/TRACING.md): a no-op unless the
@@ -211,8 +209,7 @@ let emit_reply c ~seq ~kind ~trace ~elide outcome =
        mode) instead of growing the unacked queue without limit. A
        no-op outside fiber context or when the reply config leaves the
        window unbounded. *)
-    ignore
-      (Chanhub.await_window c.c_reply ~bytes:(Xdr.Bin.size item) : (unit, string) result);
+    ignore (Chanhub.await_window c.c_reply item : (unit, string) result);
     if not c.c_broken then ignore (Chanhub.send c.c_reply item : (unit, string) result)
   end
 

@@ -124,9 +124,6 @@ val default_shard_key : port:string -> Xdr.value -> int
 val conn_src : conn -> Net.address
 (** Node address of the sending agent. *)
 
-val conn_count : t -> int
-(** Live incoming streams. *)
-
 val break_conn : conn -> reason:string -> unit
 (** Receiver-initiated stream break (§2): pending replies are flushed
     first (so a reply already produced — e.g. the [failure] reply for a
@@ -134,8 +131,6 @@ val break_conn : conn -> reason:string -> unit
     then the sender is told the stream is broken and further calls are
     discarded. This is the paper's {e synchronous} break: calls already
     replied to are unaffected. *)
-
-val flush_replies : conn -> unit
 
 val on_conn_close : conn -> (unit -> unit) -> unit
 (** Run a hook when this connection goes away for any reason (break

@@ -101,9 +101,8 @@ val parse_call : Xdr.value -> (int * int * string * kind * Xdr.value, string) re
 (** {1 Reply items} *)
 
 val outcome_value : routcome -> Xdr.value
-(** The encodable form of one outcome (the payload of {!reply_item}).
-    Exposed so byte budgets can size a stored outcome exactly as it
-    would ship ([Xdr.Bin.size (outcome_value o)]). *)
+(** The encodable form of one outcome: the payload of {!reply_item}
+    and of a handoff push ({!Chanhub.handoff_push}). *)
 
 val outcome_of_value : Xdr.value -> (routcome, string) result
 (** Inverse of {!outcome_value} — a handoff push carries a bare

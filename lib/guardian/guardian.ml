@@ -146,9 +146,8 @@ let register t ~group hs impl =
   let state = get_group t ~group () in
   Hashtbl.replace state.ports hs.Core.Sigs.hname (Reg (hs, impl))
 
-let create ?(pipeline_cache = 1024) ?(pipeline_bytes = max_int) hub ~name =
+let create ?(pipeline_cache = 1024) hub ~name =
   let g_sched = CH.hub_sched hub in
-  let bytes_evicted = Sim.Stats.counter (S.stats g_sched) "registry_bytes_evicted" in
   (* A guardian's node can own forwarded calls (docs/HANDOFF.md):
      start accepting outcome pushes as soon as the guardian exists,
      not only once its first port group is registered. *)
@@ -158,13 +157,7 @@ let create ?(pipeline_cache = 1024) ?(pipeline_bytes = max_int) hub ~name =
     g_name = name;
     g_sched;
     groups = Hashtbl.create 8;
-    g_pipeline =
-      Pipeline.Registry.create ~cap:pipeline_cache ~max_bytes:pipeline_bytes
-        (* Xdr.Bin.size is a counting pass — no encode buffer is built
-           to price an outcome for the byte budget. *)
-        ~bytes_of:(fun o -> Xdr.Bin.size (W.outcome_value o))
-        ~on_evict:(fun ~bytes -> Sim.Stats.add bytes_evicted bytes)
-        ();
+    g_pipeline = Pipeline.Registry.create ~cap:pipeline_cache ();
     destroyed = false;
   }
 

@@ -33,8 +33,7 @@ type ctx = {
   guardian : t;
 }
 
-val create :
-  ?pipeline_cache:int -> ?pipeline_bytes:int -> Cstream.Chanhub.hub -> name:string -> t
+val create : ?pipeline_cache:int -> Cstream.Chanhub.hub -> name:string -> t
 (** Create a guardian on the node owning [hub]. Several guardians can
     share one node (and hub) as long as their group names differ.
 
@@ -44,12 +43,8 @@ val create :
     other group of the {e same} guardian. [pipeline_cache] (default
     1024) bounds the retained outcomes, evicted oldest-first — size it
     above the maximum pipelining window (calls between a producer and
-    its last dependent). [pipeline_bytes] (default unbounded) is a byte
-    budget on the same store, measured in encoded wire bytes
-    ({!Xdr.Bin}) of the retained outcomes: the FIFO eviction also runs
-    while the byte total exceeds it, so a few bulky results cannot pin
-    memory that the count cap alone would allow. Evicted bytes are
-    counted in {!Sim.Stats} as [registry_bytes_evicted]. *)
+    its last dependent). Outcomes whose reply was acked are evicted
+    first. *)
 
 val name : t -> string
 

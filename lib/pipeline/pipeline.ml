@@ -31,29 +31,6 @@ let project ~field v =
             (Format.asprintf "field selector %S applied to non-record result %a" f Xdr.pp_value
                other))
 
-(* Same contract as {!project}, against an encoded outcome: with a
-   field selector only the selected field's slice is decoded — earlier
-   fields are skipped by structure, later ones never scanned. *)
-let project_view ~field vw =
-  match field with
-  | None -> Xdr.View.materialize vw
-  | Some f -> (
-      match Xdr.View.shape vw with
-      | Xdr.View.Vrecord -> (
-          match Xdr.View.record_field vw f with
-          | Ok (Some fv) -> Xdr.View.materialize fv
-          | Ok None -> Error (Printf.sprintf "produced record has no field %S" f)
-          | Error e -> Error e)
-      | _ -> (
-          (* Decode only to render the error — this is the failure
-             path, never the projection itself. *)
-          match Xdr.View.materialize vw with
-          | Ok other ->
-              Error
-                (Format.asprintf "field selector %S applied to non-record result %a" f
-                   Xdr.pp_value other)
-          | Error e -> Error e))
-
 let ( let* ) = Result.bind
 
 let rec substitute ~lookup v =
@@ -92,13 +69,9 @@ module Registry = struct
   type 'o t = {
     cap : int;
     max_waiters : int;
-    max_bytes : int;
-    bytes_of : 'o -> int;
-    on_evict : bytes:int -> unit;
-    done_ : (string * int, 'o * int) Hashtbl.t;  (* outcome, encoded size *)
+    done_ : (string * int, 'o) Hashtbl.t;
     done_order : (string * int) Queue.t;
     mutable done_count : int;
-    mutable byte_count : int;
     waiters : (string * int, (int * ('o -> unit)) list) Hashtbl.t;
     mutable waiter_count : int;
     mutable next_waiter : int;
@@ -123,18 +96,13 @@ module Registry = struct
     foreign : (string * int, unit) Hashtbl.t;
   }
 
-  let create ?(cap = 1024) ?(max_waiters = 4096) ?(max_bytes = max_int)
-      ?(bytes_of = fun _ -> 0) ?(on_evict = fun ~bytes:_ -> ()) () =
+  let create ?(cap = 1024) ?(max_waiters = 4096) () =
     {
       cap;
       max_waiters;
-      max_bytes;
-      bytes_of;
-      on_evict;
       done_ = Hashtbl.create 64;
       done_order = Queue.create ();
       done_count = 0;
-      byte_count = 0;
       waiters = Hashtbl.create 16;
       waiter_count = 0;
       next_waiter = 0;
@@ -148,11 +116,9 @@ module Registry = struct
 
   let known t = t.done_count
 
-  let bytes t = t.byte_count
-
   let waiting t = t.waiter_count
 
-  let find t ~stream ~call = Option.map fst (Hashtbl.find_opt t.done_ (stream, call))
+  let find t ~stream ~call = Hashtbl.find_opt t.done_ (stream, call)
 
   let add_scope t name = Hashtbl.replace t.scopes name ()
 
@@ -198,14 +164,11 @@ module Registry = struct
 
   let evict_one t =
     let (vstream, vcall) as victim = pop_victim t in
-    let vbytes = match Hashtbl.find_opt t.done_ victim with Some (_, b) -> b | None -> 0 in
     Hashtbl.remove t.done_ victim;
     (match Hashtbl.find_opt t.evicted_hwm vstream with
     | Some hwm when hwm >= vcall -> ()
     | Some _ | None -> Hashtbl.replace t.evicted_hwm vstream vcall);
-    t.done_count <- t.done_count - 1;
-    t.byte_count <- t.byte_count - vbytes;
-    t.on_evict ~bytes:vbytes
+    t.done_count <- t.done_count - 1
 
   (* Victims taken from [releasable] leave their keys behind in
      [done_order], which is popped only when [releasable] runs dry —
@@ -226,16 +189,10 @@ module Registry = struct
     let key = (stream, call) in
     Hashtbl.remove t.foreign key;
     if not (Hashtbl.mem t.done_ key) then begin
-      let size = t.bytes_of outcome in
-      Hashtbl.replace t.done_ key (outcome, size);
+      Hashtbl.replace t.done_ key outcome;
       Queue.push key t.done_order;
       t.done_count <- t.done_count + 1;
-      t.byte_count <- t.byte_count + size;
-      (* Two budgets, one FIFO: whichever is exhausted first drives
-         eviction. An oversized outcome can evict everything including
-         itself — its waiters below still fire with the value in hand;
-         only later dependents see it as evicted and fail fast. *)
-      while t.done_count > t.cap || (t.byte_count > t.max_bytes && t.done_count > 0) do
+      while t.done_count > t.cap do
         evict_one t
       done;
       compact_order t
@@ -250,7 +207,7 @@ module Registry = struct
   let await t ~stream ~call k =
     let key = (stream, call) in
     match Hashtbl.find_opt t.done_ key with
-    | Some (o, _) ->
+    | Some o ->
         k o;
         `Fired
     | None ->

@@ -29,12 +29,6 @@ val project : field:string option -> Xdr.value -> (Xdr.value, string) result
     returns the value itself; [Some f] requires a [Record] with a
     field [f] and returns that field's value. *)
 
-val project_view : field:string option -> Xdr.View.t -> (Xdr.value, string) result
-(** {!project} against a still-encoded outcome: [Some f] decodes only
-    the selected field's slice ({!Xdr.View.record_field} — earlier
-    fields are skipped by structure, later ones never scanned); [None]
-    materializes the whole slice. Same error messages as {!project}. *)
-
 val substitute :
   lookup:(Xdr.promise_ref -> (Xdr.value, string) result) ->
   Xdr.value ->
@@ -68,23 +62,11 @@ module Registry : sig
   val create :
     ?cap:int ->
     ?max_waiters:int ->
-    ?max_bytes:int ->
-    ?bytes_of:('o -> int) ->
-    ?on_evict:(bytes:int -> unit) ->
     unit ->
     'o t
-  (** [cap] (default 1024) bounds remembered outcomes; [max_waiters]
-      (default 4096) bounds parked callbacks.
-
-      [max_bytes] (default unbounded) is a byte budget alongside the
-      count cap: outcomes are sized by [bytes_of] (default [fun _ -> 0],
-      i.e. budget off) when recorded, and the same FIFO eviction runs
-      while the remembered total exceeds the budget. The stream layer
-      passes the encoded wire size ({!Xdr.Bin}) so a few bulky results
-      cannot pin the registry's memory the way the count cap alone
-      would allow. [on_evict] fires once per evicted outcome with its
-      recorded size (used to feed the [registry_bytes_evicted]
-      counter). *)
+  (** [cap] (default 1024) bounds remembered outcomes; past it the
+      oldest is evicted (acked ones first, {!mark_releasable}).
+      [max_waiters] (default 4096) bounds parked callbacks. *)
 
   val record : 'o t -> stream:string -> call:int -> 'o -> unit
   (** Store the outcome of (stream, call) and fire any waiters parked
@@ -109,9 +91,8 @@ module Registry : sig
   (** Declare that no live stream can still reference (stream, call) —
       the receiver saw the cumulative ack covering its reply item — so
       its outcome is a {e preferred} eviction victim. Eviction still
-      only runs when a budget ([cap] / [max_bytes]) is exceeded; acked
-      outcomes are simply chosen before un-acked FIFO victims. A no-op
-      for unknown keys. *)
+      only runs when [cap] is exceeded; acked outcomes are simply
+      chosen before un-acked FIFO victims. A no-op for unknown keys. *)
 
   val acked_evictions : 'o t -> int
   (** How many evictions chose an acked ({!mark_releasable}) victim
@@ -147,9 +128,6 @@ module Registry : sig
 
   val known : 'o t -> int
   (** Outcomes currently remembered. *)
-
-  val bytes : 'o t -> int
-  (** Total [bytes_of] size of the remembered outcomes. *)
 
   val waiting : 'o t -> int
   (** Callbacks currently parked. *)

@@ -15,11 +15,3 @@ type t = {
   realtime : bool;
   reliable : bool;
 }
-
-let account_send t bytes =
-  Sim.Stats.incr (Sim.Stats.counter t.stats "transport_frames_sent");
-  Sim.Stats.add (Sim.Stats.counter t.stats "transport_bytes_sent") bytes
-
-let account_recv t bytes =
-  Sim.Stats.incr (Sim.Stats.counter t.stats "transport_frames_received");
-  Sim.Stats.add (Sim.Stats.counter t.stats "transport_bytes_received") bytes

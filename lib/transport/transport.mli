@@ -34,8 +34,10 @@ type t = {
   stats : Sim.Stats.t;
       (** byte/frame accounting: the sim backend exposes the network's
           registry ([msgs_sent], [bytes_sent], ...); the TCP backend
-          maintains [transport_frames_sent], [transport_bytes_sent],
-          [transport_frames_received], [transport_bytes_received]. *)
+          exposes its fabric's registry, where the socket loop counts
+          [transport_frames_sent], [transport_bytes_sent],
+          [transport_frames_received] and [transport_bytes_received]
+          through counters resolved once per fabric. *)
   send : dst:address -> frame -> unit;
       (** Fire-and-forget, never blocks, may silently drop (unreachable
           peer, mid-dial failure); the stream layer's retransmission
@@ -71,11 +73,3 @@ type t = {
           mutated into lossiness — the {!Fault} layer — must not be
           combined with dictionary-enabled hubs). *)
 }
-
-val account_send : t -> int -> unit
-(** Bump [transport_frames_sent] / [transport_bytes_sent] in the
-    endpoint's registry. Backends whose substrate does not already
-    count (TCP) call this per outgoing frame. *)
-
-val account_recv : t -> int -> unit
-(** Bump [transport_frames_received] / [transport_bytes_received]. *)

@@ -560,85 +560,12 @@ module Bin = struct
         add_value e v;
         contents e)
 
-  (* --- sizer ------------------------------------------------------ *)
-
-  (* Counting-only mirror of [add_value]: computes the exact v1 encoded
-     length without touching a buffer. Window accounting and registry
-     byte budgets call this on every item, so avoiding the redundant
-     encode matters. Sizes are always v1 (dictionary-off) semantics —
-     for senders with a dictionary attached this over-estimates, which
-     is the conservative direction for flow-control accounting. *)
-
-  type sizer = {
-    s_strings : (string, int) Hashtbl.t;
-    mutable s_next : int;
-    mutable s_len : int;
-  }
-
-  let uvarint_len n =
-    let rec go n k = if n land lnot 0x7f = 0 then k + 1 else go (n lsr 7) (k + 1) in
-    go n 0
-
-  let size_string z s =
-    match Hashtbl.find_opt z.s_strings s with
-    | Some slot -> z.s_len <- z.s_len + uvarint_len (slot + 1)
-    | None ->
-        Hashtbl.add z.s_strings s z.s_next;
-        z.s_next <- z.s_next + 1;
-        z.s_len <- z.s_len + 1 + uvarint_len (String.length s) + String.length s
-
-  let rec size_value z v =
-    match v with
-    | Unit | Bool _ -> z.s_len <- z.s_len + 1
-    | Int i -> z.s_len <- z.s_len + 1 + uvarint_len (zigzag i)
-    | Real _ -> z.s_len <- z.s_len + 9
-    | Str s when String.length s <= intern_max ->
-        z.s_len <- z.s_len + 1;
-        size_string z s
-    | Str s -> z.s_len <- z.s_len + 1 + uvarint_len (String.length s) + String.length s
-    | Pair (a, b) ->
-        z.s_len <- z.s_len + 1;
-        size_value z a;
-        size_value z b
-    | List vs ->
-        z.s_len <- z.s_len + 1 + uvarint_len (List.length vs);
-        List.iter (size_value z) vs
-    | Record fields ->
-        z.s_len <- z.s_len + 1 + uvarint_len (List.length fields);
-        List.iter
-          (fun (name, v) ->
-            size_string z name;
-            size_value z v)
-          fields
-    | Tagged (tag, v) ->
-        z.s_len <- z.s_len + 1;
-        size_string z tag;
-        size_value z v
-    | Pref { ps_stream; ps_call; ps_field } ->
-        z.s_len <- z.s_len + 1;
-        size_string z ps_stream;
-        z.s_len <- z.s_len + uvarint_len (zigzag ps_call) + 1;
-        (match ps_field with None -> () | Some f -> size_string z f)
-
-  let sizer_pool : sizer list ref = ref []
-
+  (* The v1 (dictionary-off) byte count: the length of the real
+     encoding, so no second copy of the grammar can drift from it. *)
   let size v =
-    let z =
-      match !sizer_pool with
-      | z :: rest ->
-          sizer_pool := rest;
-          Hashtbl.reset z.s_strings;
-          z.s_next <- 0;
-          z.s_len <- 0;
-          z
-      | [] -> { s_strings = Hashtbl.create 16; s_next = 0; s_len = 0 }
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        if List.compare_length_with !sizer_pool pool_cap < 0 then sizer_pool := z :: !sizer_pool)
-      (fun () ->
-        size_value z v;
-        z.s_len)
+    with_encoder (fun e ->
+        add_value e v;
+        length e)
 
   (* --- decoder ---------------------------------------------------- *)
 
@@ -652,8 +579,6 @@ module Bin = struct
   type dict_table = { mutable dt_arr : string array; mutable dt_count : int }
 
   let create_dict_table () = { dt_arr = [||]; dt_count = 0 }
-
-  let dict_table_size dt = dt.dt_count
 
   type decoder = {
     d_src : string;
@@ -1030,8 +955,6 @@ module View = struct
     match read d with
     | Error _ as e -> e
     | Ok v -> ( match Bin.expect_end d with Ok () -> Ok v | Error m -> Error m)
-
-  let byte_length v = v.v_stop - v.v_start
 
   (* An immutable copy of the view's mutable surroundings: the intern
      and dictionary tables are snapshotted (their strings are immutable

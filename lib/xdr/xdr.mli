@@ -120,8 +120,8 @@ val failing_decode : ?reason:string -> every:int -> 'a codec -> 'a codec
     varint-encoded ints and lengths, and a per-encoder interned string
     table so repeated record-field names and port names cost a one-byte
     reference after first use. See docs/WIRE.md for the format.
-    [Bin.size] is the byte count actually shipped; every byte count in
-    the program comes from it. *)
+    [Bin.size] prices one item for the {!Cstream.Chanhub} sender
+    window. *)
 module Bin : sig
   val version : int
   (** Format version stamped as the first byte of every packet frame. *)
@@ -166,10 +166,9 @@ module Bin : sig
   (** One-shot encode using the pool. *)
 
   val size : value -> int
-  (** Actual encoded byte count (dictionary-off / v1 semantics),
-      computed by a counting-only mirror of the encoder — no buffer is
-      filled and nothing is allocated beyond a pooled intern table.
-      Always equals [String.length (to_string v)]. *)
+  (** Encoded byte count (dictionary-off / v1 semantics): the length of
+      [v]'s encoding in a pooled encoder, so it always equals
+      [String.length (to_string v)]. *)
 
   (** {2 Connection dictionary}
 
@@ -212,8 +211,6 @@ module Bin : sig
       never clear in place, so views over old frames stay valid. *)
 
   val create_dict_table : unit -> dict_table
-
-  val dict_table_size : dict_table -> int
 
   (** {2 Decoding}
 
@@ -289,9 +286,6 @@ module View : sig
 
   val of_string : string -> (t, string) result
   (** View over a standalone encoding (trailing bytes are an error). *)
-
-  val byte_length : t -> int
-  (** Encoded size of the slice in bytes. *)
 
   val snapshot : t -> t
   (** A view safe to hand to another domain (docs/DOMAINS.md): the

@@ -305,39 +305,36 @@ let test_group_reregistration_conflicts () =
         ())
 
 (* ------------------------------------------------------------------ *)
-(* Registry byte budget: outcomes are sized on record, FIFO-evicted
-   while over budget, eviction marks and the byte gauge track it. *)
+(* Registry count cap: past [cap] the oldest outcome is evicted and its
+   stream's eviction mark rises to the victim's call id, never falls. *)
 
-let test_registry_byte_budget () =
-  let evictions = ref 0 and evicted_bytes = ref 0 in
-  let reg : string Pipeline.Registry.t =
-    Pipeline.Registry.create ~cap:100 ~max_bytes:100 ~bytes_of:String.length
-      ~on_evict:(fun ~bytes ->
-        incr evictions;
-        evicted_bytes := !evicted_bytes + bytes)
-      ()
-  in
+let test_registry_count_cap_marks () =
   let module Reg = Pipeline.Registry in
-  for call = 1 to 3 do
-    Reg.record reg ~stream:"s" ~call (String.make 30 'x')
-  done;
-  check Alcotest.int "under budget, nothing evicted" 0 !evictions;
-  check Alcotest.int "byte gauge" 90 (Reg.bytes reg);
-  (* The fourth 30-byte outcome pushes the total to 120 > 100: the
-     oldest is evicted even though the count cap (100) is far away. *)
-  Reg.record reg ~stream:"s" ~call:4 (String.make 30 'x');
-  check Alcotest.int "one eviction" 1 !evictions;
-  check Alcotest.int "evicted bytes counted" 30 !evicted_bytes;
-  check Alcotest.int "byte gauge back under budget" 90 (Reg.bytes reg);
+  let reg : int Reg.t = Reg.create ~cap:3 () in
+  let record stream call = Reg.record reg ~stream ~call call in
+  let evicted stream call = Reg.evicted reg ~stream ~call in
+  record "s" 1;
+  record "t" 1;
+  record "s" 2;
+  record "s" 2;
+  check Alcotest.int "at the cap, a replayed record evicts nothing" 3 (Reg.known reg);
+  check Alcotest.bool "nothing marked yet" false (evicted "s" 1);
+  record "s" 3;
   check Alcotest.bool "oldest outcome gone" true (Reg.find reg ~stream:"s" ~call:1 = None);
-  check Alcotest.bool "oldest outcome marked evicted" true (Reg.evicted reg ~stream:"s" ~call:1);
-  check Alcotest.bool "newest outcome kept" true
-    (Reg.find reg ~stream:"s" ~call:4 = Some (String.make 30 'x'));
-  (* An outcome bigger than the whole budget cannot be kept at all. *)
-  Reg.record reg ~stream:"s" ~call:5 (String.make 150 'y');
-  check Alcotest.int "everything flushed" 0 (Reg.known reg);
-  check Alcotest.int "byte gauge empty" 0 (Reg.bytes reg);
-  check Alcotest.int "evicted bytes total" (30 + 90 + 150) !evicted_bytes
+  check Alcotest.bool "oldest outcome marked" true (evicted "s" 1);
+  check Alcotest.bool "other stream untouched" false (evicted "t" 1);
+  record "t" 2;
+  check Alcotest.bool "next oldest, other stream" true (evicted "t" 1);
+  check Alcotest.bool "present outcome not marked" false (evicted "t" 2);
+  (* Out-of-order records: call 9 is evicted before call 8, and the
+     mark stays at 9. *)
+  List.iter (fun (stream, call) -> record stream call) [ ("s", 9); ("s", 8); ("s", 7) ];
+  List.iter (fun (stream, call) -> record stream call) [ ("t", 3); ("t", 4) ];
+  check Alcotest.bool "mark is a high-water mark" true (evicted "s" 8);
+  check Alcotest.bool "never-recorded call below the mark" true (evicted "s" 5);
+  check Alcotest.bool "present below the mark" false (evicted "s" 7);
+  check Alcotest.bool "above the mark" false (evicted "s" 10);
+  check Alcotest.int "count held at the cap" 3 (Reg.known reg)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-lane pipelining: the producer runs on one lane while its
@@ -393,5 +390,5 @@ let () =
           Alcotest.test_case "cross-shard pipelining" `Quick test_cross_shard_pipelining;
           QCheck_alcotest.to_alcotest prop_replies_in_call_order;
         ] );
-      ("registry", [ Alcotest.test_case "byte budget" `Quick test_registry_byte_budget ]);
+      ("registry", [ Alcotest.test_case "count cap eviction marks" `Quick test_registry_count_cap_marks ]);
     ]

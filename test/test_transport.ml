@@ -341,10 +341,10 @@ let backpressure rig =
          let o = CH.connect hub_a ~dst:rig.rg_b.Transport.addr ~label:"bp" ~meta:"" cfg in
          for i = 1 to n do
            let item = Xdr.Str (Printf.sprintf "%02d|%s" i (String.make 32 'p')) in
-           (match CH.await_window o ~bytes:40 with
+           (match CH.await_window o item with
            | Ok () -> ()
            | Error e -> Alcotest.failf "await_window: %s" e);
-           if CH.inflight_bytes o + 40 > 100 then incr over_window;
+           if CH.inflight_bytes o + Xdr.Bin.size item > 100 then incr over_window;
            match CH.send o item with
            | Ok () -> ()
            | Error e -> Alcotest.failf "send: %s" e
